@@ -54,51 +54,58 @@ class AbcWitness:
         return self.word[self.r_start:]
 
 
-def _ur_candidates(w: Word, end: int, params: GroupParams,
+def _ur_candidates(w: Word, end: int, params: GroupParams, meter=None,
                    ) -> list[tuple[int, P2GWitness, BabForm]]:
     """Valid u_r suffixes of w[:end]: start positions with a name-a letter
     whose suffix is a P2G {a,b} word with name-a ends, uniform c-signs and
     a hat transformable to b^i a^j b^k.  Ordered shortest first.
 
-    Stops extending once the hat profile rules every longer suffix out.
+    One P2GSuffixScanner("ab") is fed w[:end] right to left, one metered
+    letter per feed.  The walk stops at the first of two rules, each of
+    which rules out the current suffix and every longer one:
+
+    * the scanner dies.  A c stranded between two b-letters sits in u_q
+      of every longer suffix starting with name a, where decompose_p2g
+      rejects it.  Mixed c-signs in an outer block (cC among them) stay
+      in that block or end up stranded.  A cancelling pair of hat letters
+      stays in every longer hat, and so does a hat p + n above 3, while
+      to_bab_form needs a freely reduced hat with p + n = 3.
+    * the hat is one-signed with p + n = 3 and holds at least two
+      b-letters.  to_bab_form's signed branch needs exactly one b, and a
+      hat letter of the other sign would push p + n to at least 4.
+
+    A live scanner also means the decomposition exists with one-signed
+    outer c-blocks, so only starts whose hat has p + n = 3 reach
+    decompose_p2g and to_bab_form.
     """
     out: list[tuple[int, P2GWitness, BabForm]] = []
     if end == 0 or w[end - 1] % 3 != _A_LETTER:
         return out
-    raw_p = raw_n = 0
-    run_p = run_n = 0
-    prev = -1
+    scan = P2GSuffixScanner("ab", params)
+    hat = scan.inner
+    b_count = 0
     for r0 in range(end - 1, -1, -1):
         l = w[r0]
-        if l % 3 != _C_LETTER:     # hat letter; update profile going left
-            if l < 3:
-                ext = prev != -1 and prev < 3 and prev % 3 != l % 3
-                run_p = run_p + 1 if ext else 1
-                run_n = 0
-                raw_p = max(raw_p, run_p)
-            else:
-                ext = prev != -1 and prev >= 3 and prev % 3 != l % 3
-                run_n = run_n + 1 if ext else 1
-                run_p = 0
-                raw_n = max(raw_n, run_n)
-            prev = l
-            if min(3, raw_p) + min(3, raw_n) > 3:
-                break
-        if l % 3 != _A_LETTER:
+        scan.feed(l)
+        if meter:
+            meter.add(1)
+        if scan.dead:
+            break
+        name = l % 3
+        if name == _C_LETTER:
             continue
-        ur = w[r0:end]
-        d = decompose_p2g(ur, "ab", params)
-        if d is None:
+        if name == _B_LETTER:
+            b_count += 1
+        p, n = hat.pn
+        if p + n != 3:
             continue
-        # uniform c-signs so that tau preserves length
-        if abs(d.alpha) != sum(1 for t in d.u_p if t % 3 == _C_LETTER):
-            continue
-        if abs(d.beta) != sum(1 for t in d.u_s if t % 3 == _C_LETTER):
-            continue
-        bab = to_bab_form(d.hat, params)
-        if bab is None:
-            continue
-        out.append((r0, d, bab))
+        if b_count > 1 and hat.neg_count in (0, hat.count):
+            break
+        if name == _A_LETTER:
+            d = decompose_p2g(w[r0:end], "ab", params)
+            bab = to_bab_form(d.hat, params)
+            if bab is not None:
+                out.append((r0, d, bab))
     return out
 
 
@@ -201,7 +208,7 @@ def shortest_abc_critical_suffix(w: Word, params: GroupParams,
         end = len(w)
     if end == 0 or w[end - 1] % 3 != _A_LETTER:
         return None
-    candidates = _ur_candidates(w, end, params)
+    candidates = _ur_candidates(w, end, params, meter)
     if not candidates:
         return None
     # one incremental {b,c}-criticality scanner per candidate u_r, over the
@@ -250,18 +257,4 @@ def shortest_abc_critical_suffix(w: Word, params: GroupParams,
                 return s
         if not alive:
             return None
-    return None
-
-
-def abc_witness_for_suffix(w: Word, s: int, params: GroupParams,
-                           end: Optional[int] = None) -> Optional[AbcWitness]:
-    """Full witness for the suffix w[s:end] (used after a scanner hit)."""
-    if end is None:
-        end = len(w)
-    for r0, d, bab in _ur_candidates(w, end, params):
-        if r0 <= s:
-            continue
-        witness = _witness_at(w, s, end, r0, d, bab, params)
-        if witness is not None:
-            return witness
     return None

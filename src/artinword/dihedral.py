@@ -437,6 +437,11 @@ class CriticalSuffixScanner:
         if p_cap + n_cap > self.m:
             self.dead = True
 
+    @property
+    def pn(self) -> tuple[int, int]:
+        """(p, n) of the word fed so far, each capped at m."""
+        return self.hist[-1]
+
     def critical_now(self) -> bool:
         if self.dead or self.count == 0:
             return False

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .core import (
     GroupParams,
+    Letter,
     Word,
     inverse_letter,
     is_freely_reduced,

@@ -160,3 +160,30 @@ def decorate_with_z(rng: random.Random, crit: Word, pair: str,
         head = [z if e > 0 else z + 3] * abs(e)
         out[1:1] = head
     return tuple(out)
+
+
+def ur_candidates_reference(w: Word, end: int, params: GroupParams) -> list:
+    """Brute-force u_r candidates of w[:end] for abc_critical: every
+    name-a start, shortest suffix first, with no early stop.  Each suffix
+    must decompose as a P2G {a,b} word whose outer blocks carry one-signed
+    c-powers and whose hat to_bab_form accepts."""
+    from artinword.dihedral import to_bab_form
+    from artinword.p2g import decompose_p2g
+
+    out = []
+    if end == 0 or w[end - 1] % 3 != 0:
+        return out
+    for r0 in range(end - 1, -1, -1):
+        if w[r0] % 3 != 0:
+            continue
+        d = decompose_p2g(w[r0:end], "ab", params)
+        if d is None:
+            continue
+        if abs(d.alpha) != sum(1 for l in d.u_p if l % 3 == 2):
+            continue
+        if abs(d.beta) != sum(1 for l in d.u_s if l % 3 == 2):
+            continue
+        bab = to_bab_form(d.hat, params)
+        if bab is not None:
+            out.append((r0, d, bab))
+    return out

@@ -1,14 +1,21 @@
 import random
 
 from artinword.abc_critical import (
+    _ur_candidates,
     is_abc_critical,
     shortest_abc_critical_suffix,
     tau_abc,
 )
-from artinword.core import format_word, parse_word
+from artinword.core import GroupParams, format_word, parse_word
 from artinword.oracle import OracleConfig, oracle_equal
+from artinword.reducer import reduce_to_geodesic
+from artinword.rrs import Meter
 
-from helpers import random_abc_flavoured, random_reduced_word
+from helpers import (
+    random_abc_flavoured,
+    random_reduced_word,
+    ur_candidates_reference,
+)
 
 P = parse_word
 F = format_word
@@ -98,3 +105,34 @@ class TestShortestSuffix:
                         want = s
                         break
                 assert got == want, (F(w), params.n)
+
+
+class TestUrCandidates:
+    # positive, {a,b}-positive, {a,A,b,B}, {a,b,c,C}, all six letters
+    ALPHABETS = ((0, 1, 2), (0, 1), (0, 1, 3, 4), (0, 1, 2, 5),
+                 tuple(range(6)))
+
+    def test_matches_reference(self):
+        rng = random.Random(41)
+        for n in (5, 6, 7):
+            params = GroupParams(n)
+            for letters in self.ALPHABETS:
+                for _ in range(80):
+                    w = random_reduced_word(rng, rng.randint(1, 40), letters)
+                    for end in range(len(w) + 1):
+                        assert (_ur_candidates(w, end, params)
+                                == ur_candidates_reference(w, end, params)), \
+                            (F(w), end, n)
+
+    def test_walk_does_not_span_the_host(self, params5):
+        letters = []
+        for k in (50, 400):
+            host = P("acb") * k + P("a")
+            meter = Meter()
+            _ur_candidates(host, len(host), params5, meter)
+            letters.append(meter.letters)
+        assert letters[0] == letters[1]
+
+    def test_acb_power_is_geodesic(self, params5):
+        w = P("acb") * 130
+        assert reduce_to_geodesic(w, params5)[0] == w
