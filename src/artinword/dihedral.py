@@ -239,7 +239,6 @@ class BabForm(NamedTuple):
     i: int
     j: int
     k: int
-    trace: tuple[str, ...]
 
 
 _A, _B = 0, 1
@@ -292,9 +291,9 @@ def to_bab_form(v: Word, params: GroupParams) -> Optional[BabForm]:
             return None
         head, tail = b_positions[0], len(v) - 1 - b_positions[0]
         if tail == 1:
-            return BabForm(s, s, s * head, ("signed: a^p b a -> b a b^p",))
+            return BabForm(s, s, s * head)
         if head == 1:
-            return BabForm(s * tail, s, s, ("signed: a b a^s -> b^s a b",))
+            return BabForm(s * tail, s, s)
         return None
 
     if (v[0] < 3) == (v[-1] < 3):
@@ -304,7 +303,6 @@ def to_bab_form(v: Word, params: GroupParams) -> Optional[BabForm]:
     flip = False
     out_l: list[int] = []
     out_r: list[int] = []  # outermost letter first; reversed at the end
-    trace: list[str] = []
 
     def interp(l: int) -> int:
         return _FLIP[l] if flip else l
@@ -350,7 +348,6 @@ def to_bab_form(v: Word, params: GroupParams) -> Optional[BabForm]:
                 emit_l, emit_r = [_B], [inverse_letter(_A), inverse_letter(_B)]
         out_l.extend(emit_l)
         out_r.extend(reversed(emit_r))
-        trace.append(f"stage: emit {emit_l}|{emit_r} flip->{not flip}")
         flip = not flip
 
     final = out_l + out_r[::-1]
@@ -358,7 +355,7 @@ def to_bab_form(v: Word, params: GroupParams) -> Optional[BabForm]:
     if parsed is None:
         return None
     i, j, k = parsed
-    return BabForm(i, j, k, tuple(trace))
+    return BabForm(i, j, k)
 
 
 def bab_word(i: int, j: int, k: int) -> Word:

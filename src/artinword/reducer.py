@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import GroupParams, Letter, Word, invert_word
-from .rrs import Meter, TraceEvent, apply_rrs, find_optimal_rrs
+from .rrs import Meter, TraceEvent, apply_rrs, chain_memo, find_optimal_rrs
 
 
 def push_letter(w: Word, x: Letter, params: GroupParams,
@@ -32,14 +32,17 @@ def reduce_to_geodesic(w: Word, params: GroupParams,
     """Geodesic representative of w, with optional per-push trace events.
 
     The trace pairs each letter index with the RRS events of its push.
+    The pushes share one chain memo, which lives for this call only.
     """
     cur: Word = ()
     trace: list[tuple[int, list[TraceEvent]]] = []
-    for idx, x in enumerate(w):
-        cur, events = push_letter(cur, x, params, want_trace=want_trace,
-                                  meter=meter)
-        if want_trace and events:
-            trace.append((idx, events))
+    with chain_memo(cur) as memo:
+        for idx, x in enumerate(w):
+            cur, events = push_letter(cur, x, params, want_trace=want_trace,
+                                      meter=meter)
+            memo.rebase(cur)
+            if want_trace and events:
+                trace.append((idx, events))
     return cur, trace
 
 

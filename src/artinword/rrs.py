@@ -12,8 +12,10 @@ right-to-left search for the unique optimal RRS of w x with w in W.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .core import (
     GroupParams,
@@ -136,10 +138,6 @@ def chain_head(ctype: str, witness: Witness, params: GroupParams) -> Word:
     return (tau_hat[-1],) + power_word(z, witness.beta)
 
 
-def alpha_of(ctype: str, witness: Witness) -> int:
-    return witness.alpha
-
-
 def check_rrs(host: Word, cuts: tuple[int, ...], types: tuple[str, ...],
               params: GroupParams) -> Optional[Rrs]:
     """Validate a declared factorisation + typing as an RRS (linear time)."""
@@ -250,7 +248,7 @@ def is_optimal(rrs: Rrs, params: GroupParams, enumerate_limit: int = 16,
         cur_t, _, cur_wit = rrs.us[i]
         if prev_t == ABC:
             continue
-        if alpha_of(cur_t, cur_wit) != 0:
+        if cur_wit.alpha != 0:
             continue
         if cur_t == ABC:
             ok = prev_t == P2G_AB   # |{x,y} n {b,c}| = 1
@@ -381,6 +379,132 @@ def _left_neighbour(host: Word, pos: int, skip_name: int,
     return i if i >= 0 else None
 
 
+class ChainStep(NamedTuple):
+    """Outcome of one step of the right-to-left chain search.
+
+    kind is "suffix" (host[start:e] is critical of the step's type: check
+    the RRS that starts there), "pair" (the {a,b} + {b,c} pair terminal
+    host[start:e_next] host[e_next:e]: check that RRS), "none" (no RRS)
+    or "next" (the chain goes on from the state (e_next, type_next)).
+    """
+    kind: str
+    start: int = -1
+    e_next: int = -1
+    type_next: str = ""
+
+
+_NO_RRS = ChainStep("none")
+
+
+def _chain_step(host: Word, e: int, ctype: str, params: GroupParams,
+                meter: Optional[Meter]) -> ChainStep:
+    """The chain step from the state (e, ctype); it reads host[:e] only.
+
+    Every position it reads lies left of e: the leftward scans start at
+    e - 1, and the distinguished letter pos is found after a name-b
+    letter to its right, so pos <= e - 2 and pos + 1 < e.
+    """
+    if ctype == P2G_AB:
+        s0 = shortest_p2g_critical_suffix(host, "ab", params, end=e,
+                                          meter=meter)
+    elif ctype == P2G_BC:
+        s0 = shortest_p2g_critical_suffix(host, "bc", params, end=e,
+                                          meter=meter)
+    else:
+        s0 = shortest_abc_critical_suffix(host, params, end=e, meter=meter)
+    if s0 is not None:
+        return ChainStep("suffix", s0)
+
+    if ctype == P2G_AB:
+        pos = _scan_distinguished(host, e - 1, (1, 2), meter)
+        if pos is None:
+            return _NO_RRS
+        lft = _left_neighbour(host, pos, 2, meter)
+        if lft is None:
+            return _NO_RRS
+        if host[lft] % 3 == 1 and host[pos + 1] % 3 == 1:
+            return ChainStep("next", e_next=lft + 1, type_next=P2G_AB)
+        return ChainStep("next", e_next=pos + 1, type_next=P2G_BC)
+
+    phases = (1, 0) if ctype == P2G_BC else (1, 2, 1, 0)
+    pos = _scan_distinguished(host, e - 1, phases, meter)
+    if pos is None:
+        return _NO_RRS
+    lft = _left_neighbour(host, pos, 0, meter)
+    if lft is None:
+        return _NO_RRS
+    if host[lft] % 3 == 1 and host[pos + 1] % 3 == 1:
+        return ChainStep("next", e_next=lft + 1, type_next=P2G_BC)
+    e_next = pos + 1
+    s1 = shortest_p2g_critical_suffix(host, "ab", params, end=e_next,
+                                      meter=meter)
+    if s1 is None:
+        return ChainStep("next", e_next=e_next, type_next=P2G_AB)
+    wit1 = is_p2g_critical(host[s1:e_next], "ab", params)
+    if wit1 is None:
+        raise AssertionError("suffix scanner and direct checker disagree")
+    u2 = chain_head(P2G_AB, wit1, params) + host[e_next:e]
+    if is_p2g_critical(u2, "bc", params) is not None:
+        return ChainStep("pair", s1, e_next)
+    return ChainStep("next", e_next=e_next, type_next=ABC)
+
+
+class ChainMemo:
+    """Chain steps already taken on the prefixes of one word.
+
+    steps[ctype][e] is the outcome of the step from (e, ctype), or None
+    where that step has not been taken yet.  A step reads word[:e] only,
+    so it stays valid while word[:e] is unchanged.
+    """
+
+    def __init__(self, word: Word) -> None:
+        self.word = word
+        self.steps: dict[str, list[Optional[ChainStep]]] = {
+            t: [] for t in CRITICAL_TYPES}
+
+    def step(self, host: Word, e: int, ctype: str, params: GroupParams,
+             meter: Optional[Meter]) -> ChainStep:
+        """The step from (e, ctype) on host = word x, taken on a miss."""
+        known = self.steps[ctype]
+        if e < len(known):
+            found = known[e]
+            if found is not None:
+                return found
+        else:
+            known.extend([None] * (e + 1 - len(known)))
+        found = known[e] = _chain_step(host, e, ctype, params, meter)
+        return found
+
+    def rebase(self, word: Word) -> None:
+        """Move to word, keeping the steps on the prefix it shares with the
+        old word: those up to the first rewritten position."""
+        old = self.word
+        k = min(len(old), len(word))
+        if old[:k] != word[:k]:
+            k = next(i for i in range(k) if old[i] != word[i])
+        for known in self.steps.values():
+            del known[k + 1:]
+        self.word = word
+
+
+# .memo: the memo of the reduction running in this thread, if any
+_active = threading.local()
+
+
+@contextmanager
+def chain_memo(word: Word) -> Iterator[ChainMemo]:
+    """Share chain steps between the find_optimal_rrs calls made inside
+    the block, starting from word.  The caller rebases the memo onto each
+    new word; a call on any other word gets a fresh memo."""
+    memo = ChainMemo(word)
+    outer = getattr(_active, "memo", None)
+    _active.memo = memo
+    try:
+        yield memo
+    finally:
+        _active.memo = outer
+
+
 def find_optimal_rrs(w: Word, x: int, params: GroupParams,
                      meter: Optional[Meter] = None) -> Optional[Rrs]:
     """Search w x for its optimal RRS (w must be in W).
@@ -390,6 +514,13 @@ def find_optimal_rrs(w: Word, x: int, params: GroupParams,
     between types {a,b} and {a,b,c}) followed by the checking pass, which
     re-derives every u_i by the chain rule and re-verifies criticality.
     Returns None exactly when w x is in W.
+
+    Chain steps go through a ChainMemo.  A step from the state (e, type)
+    reads host[:e] = w[:e] only, so inside a chain_memo block (one
+    reduction) the steps an earlier push took on the same prefix are
+    reused; the block rebases the memo after every push, which drops the
+    steps from the first rewritten position on.  Any other call, or a
+    call on a word other than the memo's, starts with an empty memo.
     """
     L = len(w)
     host = w + (x,)
@@ -415,66 +546,24 @@ def find_optimal_rrs(w: Word, x: int, params: GroupParams,
     # the pair {s, t} always contains b here; it is {a,b} or {b,c}
     type_i = P2G_BC if 2 in (s_name, t_name) else P2G_AB
 
+    memo = getattr(_active, "memo", None)
+    if memo is None or memo.word is not w:
+        memo = ChainMemo(w)
     bounds = [j, L]          # ends of w_m .. w_{m+1}
     types_rev = [type_i]
     e_i = j
 
     while True:
-        # i = 1 test: shortest critical suffix of host[:e_i] of this type
-        if type_i == P2G_AB:
-            s0 = shortest_p2g_critical_suffix(host, "ab", params, end=e_i,
-                                              meter=meter)
-        elif type_i == P2G_BC:
-            s0 = shortest_p2g_critical_suffix(host, "bc", params, end=e_i,
-                                              meter=meter)
-        else:
-            s0 = shortest_abc_critical_suffix(host, params, end=e_i,
-                                              meter=meter)
-        if s0 is not None:
-            cuts = tuple([s0] + bounds)
+        step = memo.step(host, e_i, type_i, params, meter)
+        if step.kind == "none":
+            return None
+        if step.kind == "suffix":
+            cuts = tuple([step.start] + bounds)
             return check_rrs(host, cuts, tuple(types_rev), params)
-
-        if type_i == P2G_AB:
-            pos = _scan_distinguished(host, e_i - 1, (1, 2), meter)
-            if pos is None:
-                return None
-            lft = _left_neighbour(host, pos, 2, meter)
-            if lft is None:
-                return None
-            r_name = host[pos + 1] % 3
-            if host[lft] % 3 == 1 and r_name == 1:
-                e_next, type_next = lft + 1, P2G_AB
-            else:
-                e_next, type_next = pos + 1, P2G_BC
-        else:
-            phases = (1, 0) if type_i == P2G_BC else (1, 2, 1, 0)
-            pos = _scan_distinguished(host, e_i - 1, phases, meter)
-            if pos is None:
-                return None
-            lft = _left_neighbour(host, pos, 0, meter)
-            if lft is None:
-                return None
-            r_name = host[pos + 1] % 3
-            if host[lft] % 3 == 1 and r_name == 1:
-                e_next, type_next = lft + 1, P2G_BC
-            else:
-                e_next = pos + 1
-                s1 = shortest_p2g_critical_suffix(host, "ab", params,
-                                                  end=e_next, meter=meter)
-                if s1 is None:
-                    type_next = P2G_AB
-                else:
-                    wit1 = is_p2g_critical(host[s1:e_next], "ab", params)
-                    if wit1 is None:
-                        raise AssertionError(
-                            "suffix scanner and direct checker disagree")
-                    u2 = chain_head(P2G_AB, wit1, params) + host[e_next:e_i]
-                    if is_p2g_critical(u2, "bc", params) is not None:
-                        cuts = tuple([s1, e_next] + bounds)
-                        return check_rrs(host, cuts,
-                                         tuple([P2G_AB] + types_rev), params)
-                    type_next = ABC
-        bounds.insert(0, e_next)
-        types_rev.insert(0, type_next)
-        e_i = e_next
-        type_i = type_next
+        if step.kind == "pair":
+            cuts = tuple([step.start, step.e_next] + bounds)
+            return check_rrs(host, cuts, tuple([P2G_AB] + types_rev), params)
+        bounds.insert(0, step.e_next)
+        types_rev.insert(0, step.type_next)
+        e_i = step.e_next
+        type_i = step.type_next

@@ -18,7 +18,8 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator
 
-from artinword.core import GroupParams, Word, inverse_letter
+from artinword.core import (GroupParams, Word, inverse_letter, invert_word,
+                            make_alternating)
 
 # lambda^2 = c0 + c1 * lambda; fold=True when lambda is rational (= 1)
 _LAMBDA_SQ = {3: (1, 0, True), 4: (2, 0, False), 5: (1, 1, False),
@@ -187,3 +188,32 @@ def ur_candidates_reference(w: Word, end: int, params: GroupParams) -> list:
         if bab is not None:
             out.append((r0, d, bab))
     return out
+
+
+def relator_words(n: int) -> list[Word]:
+    """Every cyclic conjugate of the relators of G(n) and their inverses."""
+    rels = [(0, 1, 0, 4, 3, 4), (0, 2, 3, 5),
+            make_alternating(1, 2, n, "start")
+            + invert_word(make_alternating(2, 1, n, "start"))]
+    out = []
+    for r in rels:
+        for v in (r, invert_word(r)):
+            out.extend(v[i:] + v[:i] for i in range(len(v)))
+    return out
+
+
+def relator_pair_word(rng: random.Random, n: int, length: int,
+                      insertions: int, flip: bool) -> Word:
+    """w w2^-1 for a random freely reduced w of the given length, where w2
+    is w with relator words inserted at random places (so the product is
+    trivial in G(n)), or, with flip, also one letter's sign flipped."""
+    w = random_reduced_word(rng, length)
+    rels = relator_words(n)
+    w2 = list(w)
+    for _ in range(insertions):
+        p = rng.randrange(len(w2) + 1)
+        w2[p:p] = rng.choice(rels)
+    if flip:
+        p = rng.randrange(len(w2))
+        w2[p] = inverse_letter(w2[p])
+    return w + invert_word(tuple(w2))

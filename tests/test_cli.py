@@ -1,6 +1,11 @@
 import json
+import random
 import subprocess
 import sys
+
+from artinword.core import GroupParams
+from artinword.reducer import push_letter
+from artinword.rrs import Meter
 
 
 def run_cli(*args):
@@ -62,6 +67,15 @@ class TestCommands:
         assert r.returncode == 0
         doc = json.loads(r.stdout)
         assert doc["len"] == 60 and doc["c_quadratic"] > 0
+        # letters visited come from the stateless per-push fold
+        rng, params, letters = random.Random(0), GroupParams(5), 0
+        for _ in range(2):
+            cur = ()
+            for x in tuple(rng.randrange(6) for _ in range(60)):
+                meter = Meter()
+                cur, _ = push_letter(cur, x, params, meter=meter)
+                letters += meter.letters
+        assert doc["letters_visited"] == letters
 
 
 class TestExitCodes:

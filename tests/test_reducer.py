@@ -1,6 +1,10 @@
+import hashlib
+import json
 import random
+import sys
+import threading
 
-from artinword.core import format_word, parse_word
+from artinword.core import GroupParams, format_word, parse_word
 from artinword.oracle import OracleConfig, oracle_equal, oracle_geodesic_length
 from artinword.reducer import (
     equal_in_g,
@@ -9,9 +13,10 @@ from artinword.reducer import (
     push_letter,
     reduce_to_geodesic,
 )
-from artinword.rrs import enumerate_all_rrs
+from artinword.rrs import (Meter, chain_memo, enumerate_all_rrs,
+                           find_optimal_rrs)
 
-from helpers import random_raw_word
+from helpers import random_raw_word, random_reduced_word, relator_pair_word
 
 P = parse_word
 F = format_word
@@ -107,3 +112,84 @@ class TestInvariants:
                 r2, _ = reduce_to_geodesic(w + right, params5)
                 assert len(r1) == len(r2), (F(w), F(left))
                 assert oracle_equal(r1, r2, config, params5), (F(w), F(left))
+
+
+# SHA-256 of every reduction and its trace events over the corpus below;
+# a change to the reducer must leave every output identical
+CORPUS_DIGEST = (
+    "803f7cf667869fe3a2d5ca03e14f9ccda5fe37ffda40529d92924a9513a8f5a2")
+
+
+def digest_corpus():
+    """(params, word) pairs: raw, positive, freely reduced and relator-pair
+    words at n = 5..8, up to 300 letters."""
+    rng = random.Random(4099)
+    for n in (5, 6, 7, 8):
+        params = GroupParams(n)
+        for length in (12, 75, 150, 300):
+            yield params, random_raw_word(rng, length)
+            yield params, random_reduced_word(rng, length, (0, 1, 2))
+            yield params, random_reduced_word(rng, length)
+            yield params, relator_pair_word(rng, n, length // 4,
+                                            length // 40, length % 2 == 1)
+
+
+class TestIdenticalOutputs:
+    def test_corpus_digest(self):
+        h = hashlib.sha256()
+        for params, w in digest_corpus():
+            r, trace = reduce_to_geodesic(w, params, want_trace=True)
+            events = [[idx, [e.to_json() for e in evs]] for idx, evs in trace]
+            h.update(f"{params.n} {F(w)} {F(r)} ".encode())
+            h.update(json.dumps(events, sort_keys=True).encode() + b"\n")
+            cur = ()
+            for x in w:
+                cur, _ = push_letter(cur, x, params)
+            assert r == cur, (params.n, F(w))
+        assert h.hexdigest() == CORPUS_DIGEST
+
+
+class TestMemoScope:
+    def test_two_threads(self, params5):
+        rng = random.Random(53)
+        words = [random_raw_word(rng, 300) for _ in range(2)]
+        expected = [reduce_to_geodesic(w, params5)[0] for w in words]
+        got = [None, None]
+        start = threading.Barrier(2)
+
+        def run(i):
+            start.wait()
+            got[i] = reduce_to_geodesic(words[i], params5)[0]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
+
+    def test_no_memo_after_reduction(self, params5):
+        """A memo left over on the returned word would cut the letters a
+        later direct call on that very tuple visits."""
+        rng = random.Random(59)
+        w = random_raw_word(rng, 200)
+
+        def letters(cur):
+            out = []
+            for x in range(6):
+                meter = Meter()
+                find_optimal_rrs(cur, x, params5, meter=meter)
+                out.append(meter.letters)
+            return out
+
+        cur, _ = reduce_to_geodesic(w, params5)
+        fresh = letters(tuple(list(cur)))      # an equal, distinct tuple
+        assert letters(cur) == fresh
+        with chain_memo(cur):
+            assert sum(letters(cur)) < sum(fresh)
