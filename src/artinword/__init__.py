@@ -76,5 +76,30 @@ from .oracle import (
     relator_moves,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # core
+    "EMPTY", "GroupParams", "Letter", "ParseError", "ResourceLimitError",
+    "Word", "format_word", "free_reduce", "invert_word", "make_alternating",
+    "parse_word",
+    # dihedral
+    "AlternationProfile", "TwoGenCriticalWitness", "delta", "delta_word",
+    "is_critical_2gen", "is_geodesic_2gen", "profile",
+    "shortest_critical_suffix_2gen", "tau_2gen", "to_bab_form",
+    # p2g
+    "P2GWitness", "decompose_p2g", "is_p2g_critical",
+    "shortest_p2g_critical_suffix", "tau_p2g",
+    # abc_critical
+    "AbcWitness", "is_abc_critical", "shortest_abc_critical_suffix",
+    "tau_abc",
+    # rrs
+    "ABC", "CRITICAL_TYPES", "Meter", "P2G_AB", "P2G_BC", "Rrs",
+    "TraceEvent", "apply_rrs", "check_rrs", "enumerate_all_rrs",
+    "find_optimal_rrs", "is_optimal",
+    # reducer
+    "equal_in_g", "geodesic_length", "is_geodesic", "push_letter",
+    "reduce_to_geodesic",
+    # oracle
+    "OracleConfig", "equivalence_closure", "oracle_equal",
+    "oracle_equal_verdict", "oracle_geodesic_length", "relator_moves",
+]
 __version__ = "0.1.0"

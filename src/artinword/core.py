@@ -37,7 +37,13 @@ class ParseError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a brute-force search exceeds its configured budget."""
+    """Raised when a brute-force search exceeds its configured budget, or
+    a parsed word would expand past MAX_WORD_LETTERS letters."""
+
+
+#: the most letters parse_word expands a text to; x^k sugar makes a short
+#: text stand for any number of letters
+MAX_WORD_LETTERS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -131,13 +137,21 @@ def parse_word(text: str) -> Word:
                 j += 1
             if j == d0:
                 raise ParseError("malformed exponent", i)
-            k = int(text[i + 1:j])
+            # a digit string longer than the cap's is over it, and int()
+            # refuses very long ones
+            if len(text[d0:j].lstrip("0")) > len(str(MAX_WORD_LETTERS)):
+                k = MAX_WORD_LETTERS + 1
+            else:
+                k = int(text[i + 1:j])
             i = j
         else:
             k = 1
         if k < 0:
             base = inverse_letter(base)
             k = -k
+        if len(letters) + k > MAX_WORD_LETTERS:
+            raise ResourceLimitError(
+                f"word expands past {MAX_WORD_LETTERS} letters")
         letters.extend([base] * k)
     return tuple(letters)
 

@@ -27,7 +27,6 @@ from .core import (
     make_alternating,
     make_letter,
     name_char,
-    power_word,
     sign,
 )
 
@@ -356,11 +355,6 @@ def to_bab_form(v: Word, params: GroupParams) -> Optional[BabForm]:
         return None
     i, j, k = parsed
     return BabForm(i, j, k)
-
-
-def bab_word(i: int, j: int, k: int) -> Word:
-    """The word b^i a^j b^k."""
-    return power_word(1, i) + power_word(0, j) + power_word(1, k)
 
 
 class CriticalSuffixScanner:

@@ -50,6 +50,8 @@ ABC = "abc"
 CRITICAL_TYPES = (P2G_AB, P2G_BC, ABC)
 
 Witness = Union[P2GWitness, AbcWitness]
+# (type, u_i, witness) of one critical u_i of an RRS
+Link = tuple[str, Word, Witness]
 
 
 class Meter:
@@ -139,8 +141,17 @@ def chain_head(ctype: str, witness: Witness, params: GroupParams) -> Word:
 
 
 def check_rrs(host: Word, cuts: tuple[int, ...], types: tuple[str, ...],
-              params: GroupParams) -> Optional[Rrs]:
-    """Validate a declared factorisation + typing as an RRS (linear time)."""
+              params: GroupParams, memo: Optional[ChainMemo] = None,
+              ) -> Optional[Rrs]:
+    """Validate a declared factorisation + typing as an RRS (linear time).
+
+    With a memo (the ChainMemo of find_optimal_rrs, over host[:-1]), the
+    links u_1..u_m come from its link table: the rightmost link already
+    known is looked up, only the links to its right are derived, and each
+    of those is recorded.  The cuts and the test on u_{m+1} are checked
+    on every call.  The memo's links are those of its own chain, so it
+    may be given only with cuts and types that find_optimal_rrs built.
+    """
     m = len(types)
     if len(cuts) != m + 2:
         return None
@@ -158,26 +169,54 @@ def check_rrs(host: Word, cuts: tuple[int, ...], types: tuple[str, ...],
     if m == 0 and cuts[0] == cuts[1]:
         return None
 
-    us: list[tuple[Optional[str], Word, Optional[Witness]]] = []
     if m == 0:
+        us: Optional[tuple[Link, ...]] = ()
         u = host[cuts[0]:cuts[1]]
     else:
-        u = host[cuts[0]:cuts[1]]
-        for i in range(m):
-            wit = critical_witness(u, types[i], params)
-            if wit is None:
-                return None
-            us.append((types[i], u, wit))
-            w_next = host[cuts[i + 1]:cuts[i + 2]]
-            u = chain_head(types[i], wit, params) + w_next
-        # u is now u_{m+1}
+        us = _links(host, cuts, types, params, memo)
+        if us is None:
+            return None
+        ctype, _, wit = us[-1]
+        u = chain_head(ctype, wit, params) + host[cuts[m]:cuts[m + 1]]
+    # u is now u_{m+1}
     x = u[0]
     if x != inverse_letter(gamma_first):
         return None
     if any(not commutes(x, l) for l in u[1:]):
         return None
-    us.append((None, u, None))
-    return Rrs(host, tuple(cuts), tuple(types), tuple(us))
+    return Rrs(host, tuple(cuts), tuple(types), us + ((None, u, None),))
+
+
+def _links(host: Word, cuts: tuple[int, ...], types: tuple[str, ...],
+           params: GroupParams, memo: Optional[ChainMemo],
+           ) -> Optional[tuple[Link, ...]]:
+    """The links u_1..u_m, m = len(types), by the chain rule; None as soon
+    as one of them is not critical of its type.  u_i ends at cuts[i]."""
+    m = len(types)
+    us: tuple[Link, ...] = ()
+    first = 0                        # index of the first link to derive
+    if memo is not None:
+        for k in range(m, 0, -1):    # the rightmost link already known
+            known = memo.state(cuts[k], types[k - 1])[1]
+            if known is _BAD:
+                return None
+            if known is not None:
+                us, first = known, k
+                break
+    for i in range(first, m):
+        if i == 0:
+            u = host[cuts[0]:cuts[1]]
+        else:
+            ctype, _, wit = us[-1]
+            u = chain_head(ctype, wit, params) + host[cuts[i]:cuts[i + 1]]
+        wit = critical_witness(u, types[i], params)
+        found = _BAD if wit is None else us + ((types[i], u, wit),)
+        if memo is not None:
+            memo.state(cuts[i + 1], types[i])[1] = found
+        if found is _BAD:
+            return None
+        us = found
+    return us
 
 
 def apply_rrs(rrs: Rrs, params: GroupParams, want_trace: bool = False,
@@ -397,7 +436,7 @@ _NO_RRS = ChainStep("none")
 
 
 def _chain_step(host: Word, e: int, ctype: str, params: GroupParams,
-                meter: Optional[Meter]) -> ChainStep:
+                meter: Optional[Meter], memo: ChainMemo) -> ChainStep:
     """The chain step from the state (e, ctype); it reads host[:e] only.
 
     Every position it reads lies left of e: the leftward scans start at
@@ -440,49 +479,63 @@ def _chain_step(host: Word, e: int, ctype: str, params: GroupParams,
                                       meter=meter)
     if s1 is None:
         return ChainStep("next", e_next=e_next, type_next=P2G_AB)
-    wit1 = is_p2g_critical(host[s1:e_next], "ab", params)
-    if wit1 is None:
-        raise AssertionError("suffix scanner and direct checker disagree")
-    u2 = chain_head(P2G_AB, wit1, params) + host[e_next:e]
-    if is_p2g_critical(u2, "bc", params) is not None:
-        return ChainStep("pair", s1, e_next)
+    # host[s1:e_next] is u_1 of the state (e_next, p2g-ab), whose step is
+    # this very suffix, so its link is that state's entry in the table
+    link1 = _links(host, (s1, e_next), (P2G_AB,), params, memo)
+    if link1 is not None:
+        u2 = chain_head(P2G_AB, link1[0][2], params) + host[e_next:e]
+        if is_p2g_critical(u2, "bc", params) is not None:
+            return ChainStep("pair", s1, e_next)
     return ChainStep("next", e_next=e_next, type_next=ABC)
 
 
-class ChainMemo:
-    """Chain steps already taken on the prefixes of one word.
+# a state's links when u_i or a link to its left is not critical
+_BAD = object()
 
-    steps[ctype][e] is the outcome of the step from (e, ctype), or None
-    where that step has not been taken yet.  A step reads word[:e] only,
-    so it stays valid while word[:e] is unchanged.
+
+class ChainMemo:
+    """Chain steps and checked links already derived on the prefixes of
+    one word.
+
+    states[ctype][e] is None or the entry [step, links] of the state
+    (e, ctype): step is the outcome of the chain step from it; links is
+    the tuple of Links u_1..u_i whose last one ends at e with type ctype,
+    or _BAD; each is None until derived.  The chain left of a state is
+    fixed by its steps, which read word[:e] only, so an entry stays valid
+    while word[:e] is unchanged.
     """
 
     def __init__(self, word: Word) -> None:
         self.word = word
-        self.steps: dict[str, list[Optional[ChainStep]]] = {
+        self.states: dict[str, list[Optional[list]]] = {
             t: [] for t in CRITICAL_TYPES}
+
+    def state(self, e: int, ctype: str) -> list:
+        """The entry of the state (e, ctype), made empty on first use."""
+        known = self.states[ctype]
+        if e >= len(known):
+            known.extend([None] * (e + 1 - len(known)))
+        entry = known[e]
+        if entry is None:
+            entry = known[e] = [None, None]
+        return entry
 
     def step(self, host: Word, e: int, ctype: str, params: GroupParams,
              meter: Optional[Meter]) -> ChainStep:
         """The step from (e, ctype) on host = word x, taken on a miss."""
-        known = self.steps[ctype]
-        if e < len(known):
-            found = known[e]
-            if found is not None:
-                return found
-        else:
-            known.extend([None] * (e + 1 - len(known)))
-        found = known[e] = _chain_step(host, e, ctype, params, meter)
-        return found
+        entry = self.state(e, ctype)
+        if entry[0] is None:
+            entry[0] = _chain_step(host, e, ctype, params, meter, self)
+        return entry[0]
 
     def rebase(self, word: Word) -> None:
-        """Move to word, keeping the steps on the prefix it shares with the
-        old word: those up to the first rewritten position."""
+        """Move to word, keeping the states on the prefix it shares with
+        the old word: those up to the first rewritten position."""
         old = self.word
         k = min(len(old), len(word))
         if old[:k] != word[:k]:
             k = next(i for i in range(k) if old[i] != word[i])
-        for known in self.steps.values():
+        for known in self.states.values():
             del known[k + 1:]
         self.word = word
 
@@ -512,15 +565,18 @@ def find_optimal_rrs(w: Word, x: int, params: GroupParams,
     Implements the right-to-left construction (step 1, the per-step case
     analysis on the criticality type, and the {a,b}-suffix probe deciding
     between types {a,b} and {a,b,c}) followed by the checking pass, which
-    re-derives every u_i by the chain rule and re-verifies criticality.
+    derives every u_i by the chain rule and verifies its criticality.
     Returns None exactly when w x is in W.
 
-    Chain steps go through a ChainMemo.  A step from the state (e, type)
-    reads host[:e] = w[:e] only, so inside a chain_memo block (one
-    reduction) the steps an earlier push took on the same prefix are
-    reused; the block rebases the memo after every push, which drops the
-    steps from the first rewritten position on.  Any other call, or a
-    call on a word other than the memo's, starts with an empty memo.
+    Chain steps and checked links go through a ChainMemo.  The step from
+    the state (e, type), and the link u_i that ends there, read
+    host[:e] = w[:e] only, so inside a chain_memo block (one reduction)
+    the steps and links an earlier push derived on the same prefix are
+    reused: the checking pass derives only the links right of the
+    rightmost one already known.  The block rebases the memo after every
+    push, which drops the states from the first rewritten position on.
+    Any other call, or a call on a word other than the memo's, starts
+    with an empty memo.
     """
     L = len(w)
     host = w + (x,)
@@ -559,10 +615,11 @@ def find_optimal_rrs(w: Word, x: int, params: GroupParams,
             return None
         if step.kind == "suffix":
             cuts = tuple([step.start] + bounds)
-            return check_rrs(host, cuts, tuple(types_rev), params)
+            return check_rrs(host, cuts, tuple(types_rev), params, memo)
         if step.kind == "pair":
             cuts = tuple([step.start, step.e_next] + bounds)
-            return check_rrs(host, cuts, tuple([P2G_AB] + types_rev), params)
+            return check_rrs(host, cuts, tuple([P2G_AB] + types_rev), params,
+                             memo)
         bounds.insert(0, step.e_next)
         types_rev.insert(0, step.type_next)
         e_i = step.e_next

@@ -19,7 +19,7 @@ import random
 from typing import Iterable, Iterator
 
 from artinword.core import (GroupParams, Word, inverse_letter, invert_word,
-                            make_alternating)
+                            make_alternating, power_word)
 
 # lambda^2 = c0 + c1 * lambda; fold=True when lambda is rational (= 1)
 _LAMBDA_SQ = {3: (1, 0, True), 4: (2, 0, False), 5: (1, 1, False),
@@ -83,6 +83,11 @@ def ac_equal(u: Word, v: Word) -> bool:
     return vec(u) == vec(v)
 
 
+def bab_word(i: int, j: int, k: int) -> Word:
+    """The word b^i a^j b^k."""
+    return power_word(1, i) + power_word(0, j) + power_word(1, k)
+
+
 def reduced_words(letters: Iterable[int], max_len: int,
                   min_len: int = 0) -> Iterator[Word]:
     """All freely reduced words over the given letters, by length."""
@@ -125,7 +130,7 @@ def pair_letters(pair: str) -> tuple[int, ...]:
 def random_abc_flavoured(rng: random.Random, params: GroupParams) -> Word:
     """Random words shaped like {b,c}-head + c-power + b^iab^k-style tail,
     where {a,b,c}-critical words actually live."""
-    from artinword.core import free_reduce, power_word
+    from artinword.core import free_reduce
 
     head = random_reduced_word(rng, rng.randint(2, params.n + 3),
                                pair_letters("bc"))

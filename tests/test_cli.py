@@ -93,3 +93,11 @@ class TestExitCodes:
         assert r.returncode == 1
         r = run_cli("reduce", "abc", "--n", "4", "--allow-small-n")
         assert r.returncode == 0
+
+    def test_word_size_limit(self):
+        """A word that would expand past the letter cap is refused before
+        any letter is allocated."""
+        for text in ("a^1000000000", "b^-" + "9" * 5000, "a^600000b^600000"):
+            r = run_cli("reduce", text)
+            assert r.returncode == 3, text
+            assert "resource limit" in r.stderr

@@ -4,7 +4,6 @@ import pytest
 
 from artinword.core import format_word, inverse_letter, parse_word
 from artinword.dihedral import (
-    bab_word,
     delta,
     is_critical_2gen,
     is_geodesic_2gen,
@@ -15,7 +14,7 @@ from artinword.dihedral import (
 )
 from artinword.oracle import OracleConfig, oracle_geodesic_length
 
-from helpers import (PairRep, ac_equal, pair_letters,
+from helpers import (PairRep, ac_equal, bab_word, pair_letters,
                      random_reduced_word, reduced_words)
 
 P = parse_word

@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 
+from artinword import rrs
 from artinword.core import GroupParams, format_word, parse_word
 from artinword.oracle import OracleConfig, oracle_equal, oracle_geodesic_length
 from artinword.reducer import (
@@ -193,3 +194,63 @@ class TestMemoScope:
         assert letters(cur) == fresh
         with chain_memo(cur):
             assert sum(letters(cur)) < sum(fresh)
+
+
+def count_critical_witness(monkeypatch):
+    """Count the calls of rrs.critical_witness from here on."""
+    calls = [0]
+    direct = rrs.critical_witness
+
+    def counted(*args):
+        calls[0] += 1
+        return direct(*args)
+    monkeypatch.setattr(rrs, "critical_witness", counted)
+    return calls
+
+
+class TestCheckedLinks:
+    def test_memoised_checks_match_stateless(self, monkeypatch):
+        """Every check made with the memo's link table returns what a
+        check without it returns on the same factorisation."""
+        stateless = rrs.check_rrs
+        seen = {"calls": 0, "accepted": 0}
+
+        def compared(host, cuts, types, params, memo=None):
+            got = stateless(host, cuts, types, params, memo)
+            if memo is not None:
+                assert got == stateless(host, cuts, types, params), \
+                    (params.n, F(host), cuts, types)
+                seen["calls"] += 1
+                seen["accepted"] += got is not None
+            return got
+        monkeypatch.setattr(rrs, "check_rrs", compared)
+        for params, w in digest_corpus():
+            reduce_to_geodesic(w, params)
+        assert seen["calls"] > 1000
+        assert 0 < seen["accepted"] < seen["calls"]
+
+    def test_fewer_criticality_checks(self, monkeypatch):
+        """Links the checking pass derived on earlier pushes are reused,
+        so a reduction checks far fewer words than the stateless fold."""
+        calls = count_critical_witness(monkeypatch)
+        for params, w in digest_corpus():
+            cur = ()
+            for x in w:
+                cur, _ = push_letter(cur, x, params)
+        stateless = calls[0]
+        calls[0] = 0
+        for params, w in digest_corpus():
+            reduce_to_geodesic(w, params)
+        assert 3 * calls[0] <= stateless
+
+    def test_no_links_after_reduction(self, params5, monkeypatch):
+        calls = count_critical_witness(monkeypatch)
+        rng = random.Random(61)
+        cur, _ = reduce_to_geodesic(random_raw_word(rng, 200), params5)
+
+        def checks(word):
+            calls[0] = 0
+            for x in range(6):
+                find_optimal_rrs(word, x, params5)
+            return calls[0]
+        assert checks(cur) == checks(tuple(list(cur))) > 0
