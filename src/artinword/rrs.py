@@ -151,23 +151,19 @@ def check_rrs(host: Word, cuts: tuple[int, ...], types: tuple[str, ...],
     of those is recorded.  The cuts and the test on u_{m+1} are checked
     on every call.  The memo's links are those of its own chain, so it
     may be given only with cuts and types that find_optimal_rrs built.
+    It does not ask that mu = host[:cuts[0]] be freely reduced, but
+    apply_rrs leaves mu as it is.
     """
     m = len(types)
-    if len(cuts) != m + 2:
+    # sorted, inside host, gamma nonempty
+    if (len(cuts) != m + 2 or cuts[0] < 0 or cuts[-1] >= len(host)
+            or list(cuts) != sorted(cuts)):
         return None
-    if not all(0 <= cuts[i] <= len(host) for i in range(len(cuts))):
-        return None
-    if not all(cuts[i] <= cuts[i + 1] for i in range(len(cuts) - 1)):
-        return None
-    if cuts[-1] >= len(host):
-        return None  # gamma must be nonempty
-    gamma_first = host[cuts[-1]]
     # w_i nonempty for i <= m; w_{m+1} may be empty only when m > 0
-    for i in range(1, m + 1):
-        if cuts[i - 1] == cuts[i]:
-            return None
-    if m == 0 and cuts[0] == cuts[1]:
+    nonempty = cuts[:max(m + 1, 2)]
+    if len(set(nonempty)) < len(nonempty):
         return None
+    gamma_first = host[cuts[-1]]
 
     if m == 0:
         us: Optional[tuple[Link, ...]] = ()
@@ -223,8 +219,12 @@ def apply_rrs(rrs: Rrs, params: GroupParams, want_trace: bool = False,
               ) -> tuple[Word, list[TraceEvent]]:
     """Left-to-right application: tau each u_i, shift u_{m+1}, cancel.
 
-    Returns the freely reduced result (2 letters shorter on the reducer's
-    inputs) and the trace events when requested.
+    Returns the result (2 letters shorter on the reducer's inputs) and
+    the trace events when requested.  Only the rewritten tail
+    host[cuts[0]:] is freely reduced, and then cancelled against mu =
+    host[:cuts[0]] at the junction, so the result is freely reduced when
+    mu is; mu itself is kept as it is.  Every RRS that find_optimal_rrs
+    returns has a freely reduced mu, as its w is in W.
     """
     letters = list(rrs.host)
     events: list[TraceEvent] = []
@@ -265,7 +265,13 @@ def apply_rrs(rrs: Rrs, params: GroupParams, want_trace: bool = False,
         events.append(TraceEvent(step, "free-cancel", (gs - 1, gs + 1),
                                  tuple(letters[gs - 1:gs + 1]), ()))
     del letters[gs - 1:gs + 1]
-    return free_reduce(tuple(letters)), events
+    mu = rrs.host[:rrs.cuts[0]]
+    tail = free_reduce(tuple(letters[len(mu):]))
+    k = 0
+    while (k < len(mu) and k < len(tail)
+           and mu[-1 - k] == inverse_letter(tail[k])):
+        k += 1
+    return mu[:len(mu) - k] + tail[k:], events
 
 
 def is_optimal(rrs: Rrs, params: GroupParams, enumerate_limit: int = 16,
@@ -489,20 +495,23 @@ def _chain_step(host: Word, e: int, ctype: str, params: GroupParams,
     return ChainStep("next", e_next=e_next, type_next=ABC)
 
 
-# a state's links when u_i or a link to its left is not critical
+# a state's links when u_i or a link to its left is not critical, and its
+# walk when the chain from it ends without an RRS
 _BAD = object()
 
 
 class ChainMemo:
-    """Chain steps and checked links already derived on the prefixes of
+    """Chain walks and checked links already derived on the prefixes of
     one word.
 
-    states[ctype][e] is None or the entry [step, links] of the state
-    (e, ctype): step is the outcome of the chain step from it; links is
-    the tuple of Links u_1..u_i whose last one ends at e with type ctype,
-    or _BAD; each is None until derived.  The chain left of a state is
-    fixed by its steps, which read word[:e] only, so an entry stays valid
-    while word[:e] is unchanged.
+    states[ctype][e] is None or the entry [walk, links] of the state
+    (e, ctype).  walk is the outcome of the right-to-left chain walk from
+    it: _BAD, or (cuts, types) with cuts the ends of the chain's w_i from
+    the start of w_1 up to e and types those of its u_i, the last being
+    ctype.  links is the tuple of Links u_1..u_i whose last one ends at e
+    with type ctype, or _BAD.  Each is None until derived.  The chain
+    left of a state is fixed by its steps, which read word[:e] only, so
+    an entry stays valid while word[:e] is unchanged.
     """
 
     def __init__(self, word: Word) -> None:
@@ -520,13 +529,36 @@ class ChainMemo:
             entry = known[e] = [None, None]
         return entry
 
-    def step(self, host: Word, e: int, ctype: str, params: GroupParams,
-             meter: Optional[Meter]) -> ChainStep:
-        """The step from (e, ctype) on host = word x, taken on a miss."""
-        entry = self.state(e, ctype)
-        if entry[0] is None:
-            entry[0] = _chain_step(host, e, ctype, params, meter, self)
-        return entry[0]
+    def walk(self, host: Word, e: int, ctype: str, params: GroupParams,
+             meter: Optional[Meter]):
+        """The walk from (e, ctype) on host = word x: _BAD or (cuts,
+        types).  Chain steps are taken from it until a state whose walk is
+        known, or a terminal; the walks of the states passed are then
+        filled in from the left."""
+        passed = []
+        while True:
+            entry = self.state(e, ctype)
+            found = entry[0]
+            if found is not None:
+                break
+            step = _chain_step(host, e, ctype, params, meter, self)
+            if step.kind == "next":
+                passed.append((entry, e, ctype))
+                e, ctype = step.e_next, step.type_next
+                continue
+            if step.kind == "suffix":
+                found = ((step.start, e), (ctype,))
+            elif step.kind == "pair":
+                found = ((step.start, step.e_next, e), (P2G_AB, ctype))
+            else:
+                found = _BAD
+            entry[0] = found
+            break
+        for entry, e, ctype in reversed(passed):
+            if found is not _BAD:
+                found = (found[0] + (e,), found[1] + (ctype,))
+            entry[0] = found
+        return found
 
     def rebase(self, word: Word) -> None:
         """Move to word, keeping the states on the prefix it shares with
@@ -534,7 +566,15 @@ class ChainMemo:
         old = self.word
         k = min(len(old), len(word))
         if old[:k] != word[:k]:
-            k = next(i for i in range(k) if old[i] != word[i])
+            # old[:lo] == word[:lo] and old[:k] != word[:k]: halve
+            lo = 0
+            while k - lo > 1:
+                mid = (lo + k) // 2
+                if old[lo:mid] == word[lo:mid]:
+                    lo = mid
+                else:
+                    k = mid
+            k = lo
         for known in self.states.values():
             del known[k + 1:]
         self.word = word
@@ -568,15 +608,16 @@ def find_optimal_rrs(w: Word, x: int, params: GroupParams,
     derives every u_i by the chain rule and verifies its criticality.
     Returns None exactly when w x is in W.
 
-    Chain steps and checked links go through a ChainMemo.  The step from
+    Chain walks and checked links go through a ChainMemo.  The walk from
     the state (e, type), and the link u_i that ends there, read
     host[:e] = w[:e] only, so inside a chain_memo block (one reduction)
-    the steps and links an earlier push derived on the same prefix are
-    reused: the checking pass derives only the links right of the
-    rightmost one already known.  The block rebases the memo after every
-    push, which drops the states from the first rewritten position on.
-    Any other call, or a call on a word other than the memo's, starts
-    with an empty memo.
+    the walks and links an earlier push derived on the same prefix are
+    reused: the search looks up the walk of its first state, taking
+    chain steps only until a state whose walk is known, and the checking
+    pass derives only the links right of the rightmost one already known.
+    The block rebases the memo after every push, which drops the states
+    from the first rewritten position on.  Any other call, or a call on a
+    word other than the memo's, starts with an empty memo.
     """
     L = len(w)
     host = w + (x,)
@@ -605,22 +646,8 @@ def find_optimal_rrs(w: Word, x: int, params: GroupParams,
     memo = getattr(_active, "memo", None)
     if memo is None or memo.word is not w:
         memo = ChainMemo(w)
-    bounds = [j, L]          # ends of w_m .. w_{m+1}
-    types_rev = [type_i]
-    e_i = j
-
-    while True:
-        step = memo.step(host, e_i, type_i, params, meter)
-        if step.kind == "none":
-            return None
-        if step.kind == "suffix":
-            cuts = tuple([step.start] + bounds)
-            return check_rrs(host, cuts, tuple(types_rev), params, memo)
-        if step.kind == "pair":
-            cuts = tuple([step.start, step.e_next] + bounds)
-            return check_rrs(host, cuts, tuple([P2G_AB] + types_rev), params,
-                             memo)
-        bounds.insert(0, step.e_next)
-        types_rev.insert(0, step.type_next)
-        e_i = step.e_next
-        type_i = step.type_next
+    found = memo.walk(host, j, type_i, params, meter)
+    if found is _BAD:
+        return None
+    cuts, types = found
+    return check_rrs(host, cuts + (L,), types, params, memo)

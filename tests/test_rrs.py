@@ -49,6 +49,51 @@ class TestCheckRrs:
         assert enumerate_all_rrs(P("abc"), params5) == []
 
 
+class TestCheckRrsRejects:
+    """Each malformed factorisation is refused next to an accepted one."""
+    HOST = "bcbcabacbcB"
+    TYPES = (ABC, P2G_BC)
+
+    def check(self, cuts, params, host=HOST, types=TYPES):
+        return check_rrs(P(host), cuts, types, params)
+
+    def test_accepted_neighbours(self, params5):
+        assert self.check((0, 7, 10, 10), params5) is not None
+        assert self.check((0, 1), params5, "aA", ()) is not None
+
+    def test_wrong_number_of_cuts(self, params5):
+        assert self.check((0, 7, 10), params5) is None
+        assert self.check((0, 7, 10, 10, 10), params5) is None
+        assert self.check((0, 1, 1), params5, "aA", ()) is None
+
+    def test_negative_cut(self, params5):
+        # host[-2:1] is "a", so only the bound check refuses it
+        assert self.check((-2, 1), params5, "aA", ()) is None
+        assert self.check((-1, 7, 10, 10), params5) is None
+
+    def test_unsorted_cuts(self, params5):
+        assert self.check((0, 10, 7, 10), params5) is None
+        assert self.check((7, 0, 10, 10), params5) is None
+        assert self.check((1, 0), params5, "aA", ()) is None
+
+    def test_cut_past_host(self, params5):
+        assert self.check((0, 7, 10, 12), params5) is None
+        assert self.check((0, 7, 12, 12), params5) is None
+        assert self.check((0, 3), params5, "aA", ()) is None
+
+    def test_empty_gamma(self, params5):
+        assert self.check((0, 7, 10, 11), params5) is None
+        assert self.check((0, 2), params5, "aA", ()) is None
+
+    def test_empty_w_i(self, params5):
+        assert self.check((0, 0, 10, 10), params5) is None    # w_1
+        assert self.check((0, 7, 7, 10), params5) is None     # w_2
+
+    def test_m0_empty_w1(self, params5):
+        assert self.check((0, 0), params5, "aA", ()) is None
+        assert self.check((1, 1), params5, "aA", ()) is None
+
+
 class TestApplyRrs:
     def test_example_4_3(self, params5):
         rrs = check_rrs(P("bcbcabacbcB"), (0, 7, 10, 10), (ABC, P2G_BC),
@@ -66,6 +111,16 @@ class TestApplyRrs:
         result, _ = apply_rrs(check_rrs(P("Aca"), (0, 2), (), params5),
                               params5)
         assert F(result) == "c"
+
+    def test_mu_kept_as_is(self, params5):
+        # only the tail and the junction are freely reduced: a mu that is
+        # not freely reduced stays in the result
+        result, _ = apply_rrs(check_rrs(P("aAaA"), (2, 3), (), params5),
+                              params5)
+        assert F(result) == "aA"
+        result, _ = apply_rrs(check_rrs(P("bBAca"), (2, 4), (), params5),
+                              params5)
+        assert F(result) == "bBc"
 
     def test_shortens_by_two(self, params5, params6):
         rng = random.Random(17)
