@@ -253,7 +253,7 @@ def shortest_abc_critical_suffix(w: Word, params: GroupParams,
             else:
                 if ab >= min(s + run_nonb, r0):
                     continue
-            if scan.critical_now():
+            if scan.critical:
                 return s
         if not alive:
             return None

@@ -361,17 +361,22 @@ class CriticalSuffixScanner:
     """Incremental criticality test for the suffixes of a fixed word.
 
     Letters are fed right to left (the first letter fed is the word's last
-    letter); after each feed, critical_now() answers for the word fed so
-    far.  O(1) work and O(m) state per feed.  The scanner goes dead once
-    no longer suffix can be critical (p+n passed m, a letter outside the
-    pair, or a cancelling pair).
+    letter); after each feed, critical tells whether the word fed so far
+    is critical.  O(1) work and O(m) state per feed.  The scanner goes
+    dead once no longer suffix can be critical (p+n passed m, a letter
+    outside the pair, or a cancelling pair).
     """
+
+    __slots__ = ("m", "allowed", "count", "dead", "critical", "prev",
+                 "last", "lead_len", "raw_p", "raw_n", "neg_count",
+                 "trail_pos", "trail_neg", "g_pos", "g_neg", "hist")
 
     def __init__(self, pair: str, params: GroupParams):
         self.m = params.m(pair)
         self.allowed = {ord(pair[0]) - 97, ord(pair[1]) - 97}
         self.count = 0
         self.dead = False
+        self.critical = False
         self.prev = -1           # most recently fed letter
         self.last = -1           # first letter fed = last letter of word
         self.lead_len = 0        # alternating same-sign run at the left end
@@ -387,74 +392,69 @@ class CriticalSuffixScanner:
     def feed(self, l: Letter) -> None:
         if self.dead:
             return
-        if l % 3 not in self.allowed:
+        prev = self.prev
+        name = l % 3
+        if name not in self.allowed or prev == (l + 3) % 6:
             self.dead = True
-            return
-        if self.prev != -1 and self.prev == inverse_letter(l):
-            self.dead = True
+            self.critical = False
             return
         k = self.count
-        if self.last == -1:
+        m = self.m
+        if k == 0:
             self.last = l
         positive = l < 3
-        if (self.lead_len and (self.prev < 3) == positive
-                and self.prev % 3 != l % 3):
-            self.lead_len += 1
+        if k and (prev < 3) == positive and prev % 3 != name:
+            lead = self.lead_len + 1
         else:
-            self.lead_len = 1
+            lead = 1
+        self.lead_len = lead
         if positive:
-            if k == self.trail_pos and (k == 0 or self.prev % 3 != l % 3):
+            if k == self.trail_pos and (k == 0 or prev % 3 != name):
                 self.trail_pos += 1
-            if self.lead_len > self.raw_p:
-                self.raw_p = self.lead_len
+            if lead > self.raw_p:
+                self.raw_p = lead
         else:
-            if k == self.trail_neg and (k == 0 or self.prev % 3 != l % 3):
+            if k == self.trail_neg and (k == 0 or prev % 3 != name):
                 self.trail_neg += 1
-            if self.lead_len > self.raw_n:
-                self.raw_n = self.lead_len
+            if lead > self.raw_n:
+                self.raw_n = lead
             self.neg_count += 1
-        self.count = k + 1
-        if self.count > self.m:
-            clip = min(self.lead_len, self.count - self.m)
+        length = self.count = k + 1
+        if length > m:
+            clip = min(lead, length - m)
             if positive:
                 if clip > self.g_pos:
                     self.g_pos = clip
             elif clip > self.g_neg:
                 self.g_neg = clip
         self.prev = l
-        p_cap = self.raw_p if self.raw_p < self.m else self.m
-        n_cap = self.raw_n if self.raw_n < self.m else self.m
-        self.hist.append((p_cap, n_cap))
-        if p_cap + n_cap > self.m:
-            self.dead = True
+        p = self.raw_p if self.raw_p < m else m
+        n = self.raw_n if self.raw_n < m else m
+        self.hist.append((p, n))
+        if p + n != m:
+            self.dead = p + n > m
+            self.critical = False
+            return
+        neg = self.neg_count
+        if neg == 0:
+            self.critical = (
+                (lead == m and (length == m or self.hist[0][0] < m))
+                or (length > m and self.trail_pos == m and self.g_pos < m))
+        elif neg == length:
+            self.critical = (
+                (lead == m and (length == m or self.hist[0][1] < m))
+                or (length > m and self.trail_neg == m and self.g_neg < m))
+        elif positive:
+            self.critical = (self.last >= 3 and lead == p
+                             and self.trail_neg == n)
+        else:
+            self.critical = (self.last < 3 and lead == n
+                             and self.trail_pos == p)
 
     @property
     def pn(self) -> tuple[int, int]:
         """(p, n) of the word fed so far, each capped at m."""
         return self.hist[-1]
-
-    def critical_now(self) -> bool:
-        if self.dead or self.count == 0:
-            return False
-        m = self.m
-        p, n = self.hist[-1]
-        if p + n != m:
-            return False
-        length = self.count
-        if self.neg_count == 0:
-            if self.lead_len == m and (length == m or self.hist[0][0] < m):
-                return True
-            return length > m and self.trail_pos == m and self.g_pos < m
-        if self.neg_count == length:
-            if self.lead_len == m and (length == m or self.hist[0][1] < m):
-                return True
-            return length > m and self.trail_neg == m and self.g_neg < m
-        first_pos, last_pos = self.prev < 3, self.last < 3
-        if first_pos and not last_pos:
-            return self.lead_len == p and self.trail_neg == n
-        if not first_pos and last_pos:
-            return self.lead_len == n and self.trail_pos == p
-        return False
 
 
 def shortest_critical_suffix_2gen(w: Word, pair: str, params: GroupParams,
@@ -469,7 +469,7 @@ def shortest_critical_suffix_2gen(w: Word, pair: str, params: GroupParams,
     scan = CriticalSuffixScanner(pair, params)
     for s in range(end - 1, -1, -1):
         scan.feed(w[s])
-        if scan.critical_now():
+        if scan.critical:
             return s
         if scan.dead:
             return None

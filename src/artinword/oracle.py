@@ -64,21 +64,48 @@ def _relator_table(params: GroupParams) -> list[tuple[bytes, bytes]]:
     return table
 
 
-def _neighbours(w: bytes, table: list[tuple[bytes, bytes]],
-                bound: int) -> Iterable[bytes]:
-    for pat, rep in table:
-        start = w.find(pat)
-        while start >= 0:
-            yield w[:start] + rep + w[start + len(pat):]
-            start = w.find(pat, start + 1)
+def _move_index(params: GroupParams) -> list:
+    """The moves at a position of a word, by its first two letters x y.
+
+    Entry 6 x + y is None when x y is a cancelling pair, to be deleted,
+    and otherwise holds (right, rest, k) for each relator substitution
+    left -> right with left = x y + rest and k = len(left)."""
+    index: list = [() for _ in range(36)]
+    for left, right in _relator_table(params):
+        index[6 * left[0] + left[1]] += ((right, left[2:], len(left)),)
+    for pair in _INSERT_PAIRS:
+        index[6 * pair[0] + pair[1]] = None
+    return index
+
+
+def _local_moves(w: bytes, index: list) -> tuple[list[bytes], list[bytes]]:
+    """The words one relator substitution away from w, and those one
+    cancelling-pair deletion away, each in order of position."""
+    subs = []
+    dels = []
     for i in range(len(w) - 1):
-        if w[i] == (w[i + 1] + 3) % 6:
-            yield w[:i] + w[i + 2:]
+        moves = index[6 * w[i] + w[i + 1]]
+        if moves is None:
+            dels.append(w[:i] + w[i + 2:])
+            continue
+        for right, rest, k in moves:
+            if not rest or w.startswith(rest, i + 2):
+                subs.append(w[:i] + right + w[i + k:])
+    return subs, dels
+
+
+def _insertions(w: bytes) -> list[bytes]:
+    """The words one cancelling-pair insertion away from w."""
+    return [head + pair + tail
+            for head, tail in [(w[:i], w[i:]) for i in range(len(w) + 1)]
+            for pair in _INSERT_PAIRS]
+
+
+def _neighbours(w: bytes, index: list, bound: int) -> list[bytes]:
+    subs, dels = _local_moves(w, index)
     if len(w) + 2 <= bound:
-        for i in range(len(w) + 1):
-            head, tail = w[:i], w[i:]
-            for pair in _INSERT_PAIRS:
-                yield head + pair + tail
+        return subs + dels + _insertions(w)
+    return subs + dels
 
 
 def relator_moves(w: Word, params: GroupParams) -> list[Word]:
@@ -86,7 +113,7 @@ def relator_moves(w: Word, params: GroupParams) -> list[Word]:
     insertion/deletion away from w."""
     out = []
     seen = set()
-    for v in _neighbours(bytes(w), _relator_table(params), len(w) + 2):
+    for v in _neighbours(bytes(w), _move_index(params), len(w) + 2):
         if v not in seen:
             seen.add(v)
             out.append(tuple(v))
@@ -115,23 +142,41 @@ def _ab_lower_bound(w: Word, params: GroupParams) -> int:
 
 
 class _Search:
-    """Adaptive shortest-first search around a start word."""
+    """Adaptive shortest-first search around a start word.
+
+    levels[k] is a heap of the pending words of length k, so words are
+    expanded shortest first and, among those of one length, in byte
+    order.  Lengths above the bound are never expanded, and the bound
+    only falls."""
 
     def __init__(self, start: Word, config: OracleConfig,
                  params: GroupParams):
-        self.table = _relator_table(params)
+        self.index = _move_index(params)
         self.slack = config.slack
         self.cap = config.node_cap
         b = bytes(free_reduce(start))
         self.seen: set[bytes] = {b}
-        self.heap: list[tuple[int, bytes]] = [(len(b), b)]
         self.min_len = len(b)
         self.bound = len(b) + self.slack
+        self.levels: list[list[bytes]] = [[] for _ in range(self.bound + 1)]
+        self.levels[len(b)].append(b)
+        self.low = len(b)          # no word shorter than this is pending
 
     def exhausted(self) -> bool:
-        while self.heap and self.heap[0][0] > self.bound:
-            heapq.heappop(self.heap)
-        return not self.heap
+        levels = self.levels
+        while self.low <= self.bound and not levels[self.low]:
+            self.low += 1
+        return self.low > self.bound
+
+    def _admit(self, words: list[bytes]) -> list[bytes]:
+        """Mark the unseen ones of words seen; returns them in order."""
+        seen = self.seen
+        new = []
+        for v in words:
+            if v not in seen:
+                seen.add(v)
+                new.append(v)
+        return new
 
     def expand_one(self, other_seen: Optional[set] = None,
                    ) -> Optional[bytes]:
@@ -139,21 +184,29 @@ class _Search:
         lands in other_seen."""
         if self.exhausted():
             return None
-        _, u = heapq.heappop(self.heap)
-        hit = None
-        for v in _neighbours(u, self.table, self.bound):
-            if len(v) <= self.bound and v not in self.seen:
-                self.seen.add(v)
-                if len(self.seen) > self.cap:
-                    raise ResourceLimitError(
-                        f"oracle node cap {self.cap} exceeded")
-                if len(v) < self.min_len:
-                    self.min_len = len(v)
-                    self.bound = min(self.bound, len(v) + self.slack)
-                if other_seen is not None and v in other_seen and hit is None:
-                    hit = v
-                heapq.heappush(self.heap, (len(v), v))
-        return hit
+        u = heapq.heappop(self.levels[self.low])
+        n = len(u)
+        subs, dels = _local_moves(u, self.index)
+        new = self._admit(subs)
+        shorter = self._admit(dels)
+        if shorter:
+            if n - 2 < self.min_len:
+                self.min_len = n - 2
+                self.bound = min(self.bound, n - 2 + self.slack)
+            self.low = n - 2
+            new += shorter
+        if n + 2 <= self.bound:
+            new += self._admit(_insertions(u))
+        if len(self.seen) > self.cap:
+            raise ResourceLimitError(f"oracle node cap {self.cap} exceeded")
+        levels = self.levels
+        for v in new:
+            heapq.heappush(levels[len(v)], v)
+        if other_seen is not None:
+            for v in new:
+                if v in other_seen:
+                    return v
+        return None
 
 
 def oracle_geodesic_length(w: Word, config: OracleConfig,
@@ -177,14 +230,14 @@ def ball(w: Word, config: OracleConfig, params: GroupParams) -> set[Word]:
     """Every word reachable from free_reduce(w) within its length + slack
     (fixed bound; used to collect complete equal-length representative
     sets for geodesic inputs)."""
-    table = _relator_table(params)
+    index = _move_index(params)
     start = bytes(free_reduce(w))
     bound = len(start) + config.slack
     seen = {start}
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        for v in _neighbours(u, table, bound):
+        for v in _neighbours(u, index, bound):
             if len(v) <= bound and v not in seen:
                 seen.add(v)
                 if len(seen) > config.node_cap:

@@ -19,7 +19,6 @@ from .core import (
     GroupParams,
     Letter,
     Word,
-    inverse_letter,
     is_freely_reduced,
     make_letter,
     power_word,
@@ -157,11 +156,16 @@ def tau_p2g(witness: P2GWitness, params: GroupParams) -> Word:
 class P2GSuffixScanner:
     """Incremental P2G-criticality test for suffixes of a fixed word.
 
-    Letters are fed right to left; critical_now() answers for the word fed
-    so far.  Structural state tracks the trailing block, confinement of
-    the commuting generator z to the outer blocks, and z-sign uniformity;
-    a 2-generator scanner consumes the hat subsequence.
+    Letters are fed right to left; after each feed, critical tells
+    whether the word fed so far is P2G-critical.  Structural state tracks
+    the trailing block, confinement of the commuting generator z to the
+    outer blocks, and z-sign uniformity; a 2-generator scanner consumes
+    the hat subsequence.
     """
+
+    __slots__ = ("x_idx", "z_idx", "inner", "count", "dead", "critical",
+                 "prev", "in_tail", "tail_is_xz", "tail_z_sign", "run_z",
+                 "run_z_sign")
 
     def __init__(self, pair: str, params: GroupParams):
         self.x_idx = ord(pseudo_x(pair)) - 97
@@ -169,8 +173,8 @@ class P2GSuffixScanner:
         self.inner = CriticalSuffixScanner(pair, params)
         self.count = 0
         self.dead = False
+        self.critical = False
         self.prev = -1
-        self.first_name = -1      # name of the current leftmost letter
         self.in_tail = True
         self.tail_is_xz = False
         self.tail_z_sign = 0
@@ -180,12 +184,14 @@ class P2GSuffixScanner:
     def feed(self, l: Letter) -> None:
         if self.dead:
             return
+        self.critical = False
         name = l % 3
-        if self.prev != -1 and self.prev == inverse_letter(l):
+        z_idx = self.z_idx
+        if self.prev == (l + 3) % 6:
             self.dead = True
             return
         if self.count == 0:
-            if name == self.z_idx:
+            if name == z_idx:
                 self.dead = True    # l(u) must be a pseudo-generator
                 return
             self.tail_is_xz = name == self.x_idx
@@ -194,7 +200,7 @@ class P2GSuffixScanner:
             if not in_set:
                 self.in_tail = False
         if self.in_tail:
-            if name == self.z_idx:
+            if name == z_idx:
                 sgn = 1 if l < 3 else -1
                 if self.tail_z_sign == 0:
                     self.tail_z_sign = sgn
@@ -207,28 +213,22 @@ class P2GSuffixScanner:
                     self.dead = True    # stranded z between two b-letters
                     return
                 self.run_z_sign = 0
-            elif name == self.z_idx:
+            elif name == z_idx:
                 sgn = 1 if l < 3 else -1
                 if self.run_z and self.run_z_sign != sgn:
                     self.dead = True
                     return
                 self.run_z += 1
                 self.run_z_sign = sgn
-        if name != self.z_idx:
-            self.inner.feed(l)
-            if self.inner.dead:
+        if name != z_idx:           # else l(u) is no pseudo-generator
+            inner = self.inner
+            inner.feed(l)
+            if inner.dead:
                 self.dead = True
                 return
+            self.critical = inner.critical
         self.prev = l
-        self.first_name = name
         self.count += 1
-
-    def critical_now(self) -> bool:
-        if self.dead or self.count == 0:
-            return False
-        if self.first_name == self.z_idx:
-            return False
-        return self.inner.critical_now()
 
 
 def shortest_p2g_critical_suffix(w: Word, pair: str, params: GroupParams,
@@ -238,12 +238,12 @@ def shortest_p2g_critical_suffix(w: Word, pair: str, params: GroupParams,
     if end is None:
         end = len(w)
     scan = P2GSuffixScanner(pair, params)
-    for s in range(end - 1, -1, -1):
+    s = end
+    while s > 0:
+        s -= 1
         scan.feed(w[s])
-        if meter:
-            meter.add(1)
-        if scan.critical_now():
-            return s
-        if scan.dead:
-            return None
-    return None
+        if scan.critical or scan.dead:
+            break
+    if meter:
+        meter.add(end - s)
+    return s if scan.critical else None

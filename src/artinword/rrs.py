@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .core import (
     GroupParams,
@@ -141,18 +141,16 @@ def chain_head(ctype: str, witness: Witness, params: GroupParams) -> Word:
 
 
 def check_rrs(host: Word, cuts: tuple[int, ...], types: tuple[str, ...],
-              params: GroupParams, memo: Optional[ChainMemo] = None,
-              ) -> Optional[Rrs]:
+              params: GroupParams,
+              links: Optional[tuple[Link, ...]] = None) -> Optional[Rrs]:
     """Validate a declared factorisation + typing as an RRS (linear time).
 
-    With a memo (the ChainMemo of find_optimal_rrs, over host[:-1]), the
-    links u_1..u_m come from its link table: the rightmost link already
-    known is looked up, only the links to its right are derived, and each
-    of those is recorded.  The cuts and the test on u_{m+1} are checked
-    on every call.  The memo's links are those of its own chain, so it
-    may be given only with cuts and types that find_optimal_rrs built.
-    It does not ask that mu = host[:cuts[0]] be freely reduced, but
-    apply_rrs leaves mu as it is.
+    links, when given, must be the Links u_1..u_m of these cuts and
+    types, each already found critical of its type: find_optimal_rrs
+    passes those its ChainMemo derived.  Only the cuts and the test on
+    u_{m+1} are then checked; without links every u_i is derived by the
+    chain rule and checked too.  It does not ask that mu =
+    host[:cuts[0]] be freely reduced, but apply_rrs leaves mu as it is.
     """
     m = len(types)
     # sorted, inside host, gamma nonempty
@@ -169,7 +167,7 @@ def check_rrs(host: Word, cuts: tuple[int, ...], types: tuple[str, ...],
         us: Optional[tuple[Link, ...]] = ()
         u = host[cuts[0]:cuts[1]]
     else:
-        us = _links(host, cuts, types, params, memo)
+        us = _links(host, cuts, types, params) if links is None else links
         if us is None:
             return None
         ctype, _, wit = us[-1]
@@ -183,36 +181,37 @@ def check_rrs(host: Word, cuts: tuple[int, ...], types: tuple[str, ...],
     return Rrs(host, tuple(cuts), tuple(types), us + ((None, u, None),))
 
 
+# a chain state's slot when u_i or a link to its left is not critical, or
+# when the chain from it ends without an RRS
+_BAD = object()
+
+
+def _grow(host: Word, left: tuple, e: int, ctype: str, params: GroupParams):
+    """The slot (cuts, types, links) of the state (e, ctype) whose w_i
+    starts where the chain of left ends, or _BAD when its u_i is not
+    critical of type ctype.  left is a slot, or ((start,), (), ()) for
+    w_1 = host[start:e]."""
+    cuts, types, links = left
+    u = host[cuts[-1]:e]
+    if links:
+        ptype, _, pwit = links[-1]
+        u = chain_head(ptype, pwit, params) + u
+    wit = critical_witness(u, ctype, params)
+    if wit is None:
+        return _BAD
+    return cuts + (e,), types + (ctype,), links + ((ctype, u, wit),)
+
+
 def _links(host: Word, cuts: tuple[int, ...], types: tuple[str, ...],
-           params: GroupParams, memo: Optional[ChainMemo],
-           ) -> Optional[tuple[Link, ...]]:
+           params: GroupParams) -> Optional[tuple[Link, ...]]:
     """The links u_1..u_m, m = len(types), by the chain rule; None as soon
     as one of them is not critical of its type.  u_i ends at cuts[i]."""
-    m = len(types)
-    us: tuple[Link, ...] = ()
-    first = 0                        # index of the first link to derive
-    if memo is not None:
-        for k in range(m, 0, -1):    # the rightmost link already known
-            known = memo.state(cuts[k], types[k - 1])[1]
-            if known is _BAD:
-                return None
-            if known is not None:
-                us, first = known, k
-                break
-    for i in range(first, m):
-        if i == 0:
-            u = host[cuts[0]:cuts[1]]
-        else:
-            ctype, _, wit = us[-1]
-            u = chain_head(ctype, wit, params) + host[cuts[i]:cuts[i + 1]]
-        wit = critical_witness(u, types[i], params)
-        found = _BAD if wit is None else us + ((types[i], u, wit),)
-        if memo is not None:
-            memo.state(cuts[i + 1], types[i])[1] = found
+    found = ((cuts[0],), (), ())
+    for i, ctype in enumerate(types):
+        found = _grow(host, found, cuts[i + 1], ctype, params)
         if found is _BAD:
             return None
-        us = found
-    return us
+    return found[2]
 
 
 def apply_rrs(rrs: Rrs, params: GroupParams, want_trace: bool = False,
@@ -424,26 +423,19 @@ def _left_neighbour(host: Word, pos: int, skip_name: int,
     return i if i >= 0 else None
 
 
-class ChainStep(NamedTuple):
-    """Outcome of one step of the right-to-left chain search.
-
-    kind is "suffix" (host[start:e] is critical of the step's type: check
-    the RRS that starts there), "pair" (the {a,b} + {b,c} pair terminal
-    host[start:e_next] host[e_next:e]: check that RRS), "none" (no RRS)
-    or "next" (the chain goes on from the state (e_next, type_next)).
-    """
-    kind: str
-    start: int = -1
-    e_next: int = -1
-    type_next: str = ""
-
-
-_NO_RRS = ChainStep("none")
+_NO_RRS = (_BAD, -1, "")
 
 
 def _chain_step(host: Word, e: int, ctype: str, params: GroupParams,
-                meter: Optional[Meter], memo: ChainMemo) -> ChainStep:
+                meter: Optional[Meter], memo: ChainMemo,
+                ) -> tuple[object, int, str]:
     """The chain step from the state (e, ctype); it reads host[:e] only.
+
+    Returns (found, e_next, type_next).  found is the state's slot when
+    the chain ends there: a critical suffix host[start:e] of the step's
+    type, the pair terminal host[start:e_next] host[e_next:e] of types
+    {a,b} and the step's type, or _BAD for no RRS.  Otherwise found is
+    None and the chain goes on from the state (e_next, type_next).
 
     Every position it reads lies left of e: the leftward scans start at
     e - 1, and the distinguished letter pos is found after a name-b
@@ -458,7 +450,7 @@ def _chain_step(host: Word, e: int, ctype: str, params: GroupParams,
     else:
         s0 = shortest_abc_critical_suffix(host, params, end=e, meter=meter)
     if s0 is not None:
-        return ChainStep("suffix", s0)
+        return _grow(host, ((s0,), (), ()), e, ctype, params), -1, ""
 
     if ctype == P2G_AB:
         pos = _scan_distinguished(host, e - 1, (1, 2), meter)
@@ -468,8 +460,8 @@ def _chain_step(host: Word, e: int, ctype: str, params: GroupParams,
         if lft is None:
             return _NO_RRS
         if host[lft] % 3 == 1 and host[pos + 1] % 3 == 1:
-            return ChainStep("next", e_next=lft + 1, type_next=P2G_AB)
-        return ChainStep("next", e_next=pos + 1, type_next=P2G_BC)
+            return None, lft + 1, P2G_AB
+        return None, pos + 1, P2G_BC
 
     phases = (1, 0) if ctype == P2G_BC else (1, 2, 1, 0)
     pos = _scan_distinguished(host, e - 1, phases, meter)
@@ -479,104 +471,97 @@ def _chain_step(host: Word, e: int, ctype: str, params: GroupParams,
     if lft is None:
         return _NO_RRS
     if host[lft] % 3 == 1 and host[pos + 1] % 3 == 1:
-        return ChainStep("next", e_next=lft + 1, type_next=P2G_BC)
+        return None, lft + 1, P2G_BC
     e_next = pos + 1
     s1 = shortest_p2g_critical_suffix(host, "ab", params, end=e_next,
                                       meter=meter)
     if s1 is None:
-        return ChainStep("next", e_next=e_next, type_next=P2G_AB)
+        return None, e_next, P2G_AB
     # host[s1:e_next] is u_1 of the state (e_next, p2g-ab), whose step is
-    # this very suffix, so its link is that state's entry in the table
-    link1 = _links(host, (s1, e_next), (P2G_AB,), params, memo)
-    if link1 is not None:
-        u2 = chain_head(P2G_AB, link1[0][2], params) + host[e_next:e]
-        if is_p2g_critical(u2, "bc", params) is not None:
-            return ChainStep("pair", s1, e_next)
-    return ChainStep("next", e_next=e_next, type_next=ABC)
-
-
-# a state's links when u_i or a link to its left is not critical, and its
-# walk when the chain from it ends without an RRS
-_BAD = object()
+    # this very suffix, so the pair's u_1 is that state's slot
+    left = memo.get(e_next, P2G_AB)
+    if left is None:
+        left = _grow(host, ((s1,), (), ()), e_next, P2G_AB, params)
+        memo.put(e_next, P2G_AB, left)
+    if left is not _BAD:
+        found = _grow(host, left, e, ctype, params)
+        if found is not _BAD:
+            return found, -1, ""
+    return None, e_next, ABC
 
 
 class ChainMemo:
-    """Chain walks and checked links already derived on the prefixes of
-    one word.
+    """Verified chain walks already derived on the prefixes of one word.
 
-    states[ctype][e] is None or the entry [walk, links] of the state
-    (e, ctype).  walk is the outcome of the right-to-left chain walk from
-    it: _BAD, or (cuts, types) with cuts the ends of the chain's w_i from
-    the start of w_1 up to e and types those of its u_i, the last being
-    ctype.  links is the tuple of Links u_1..u_i whose last one ends at e
-    with type ctype, or _BAD.  Each is None until derived.  The chain
-    left of a state is fixed by its steps, which read word[:e] only, so
-    an entry stays valid while word[:e] is unchanged.
+    states[ctype][e] is None until derived, or else the slot of the state
+    (e, ctype), the outcome of the right-to-left chain walk from it.
+    The slot is _BAD when the chain from it ends without an RRS or one of
+    its links is not critical, and otherwise (cuts, types, links): cuts
+    the ends of the chain's w_i from the start of w_1 up to e, types those
+    of its u_i (the last being ctype), and links the Links u_1..u_i, each
+    found critical of its type.  A state's chain steps and links read
+    word[:e] only, so its slot stays valid while word[:e] is unchanged.
     """
 
     def __init__(self, word: Word) -> None:
         self.word = word
-        self.states: dict[str, list[Optional[list]]] = {
-            t: [] for t in CRITICAL_TYPES}
+        self.states: dict[str, list] = {t: [] for t in CRITICAL_TYPES}
 
-    def state(self, e: int, ctype: str) -> list:
-        """The entry of the state (e, ctype), made empty on first use."""
+    def get(self, e: int, ctype: str):
+        """The slot of the state (e, ctype), or None."""
+        known = self.states[ctype]
+        return known[e] if e < len(known) else None
+
+    def put(self, e: int, ctype: str, found) -> None:
         known = self.states[ctype]
         if e >= len(known):
             known.extend([None] * (e + 1 - len(known)))
-        entry = known[e]
-        if entry is None:
-            entry = known[e] = [None, None]
-        return entry
+        known[e] = found
 
     def walk(self, host: Word, e: int, ctype: str, params: GroupParams,
              meter: Optional[Meter]):
-        """The walk from (e, ctype) on host = word x: _BAD or (cuts,
-        types).  Chain steps are taken from it until a state whose walk is
-        known, or a terminal; the walks of the states passed are then
-        filled in from the left."""
+        """The slot of (e, ctype) on host = word x.  Chain steps are
+        taken from it until a state whose slot is known, or a terminal;
+        the slots of the states passed are then filled in from the left,
+        deriving and checking each one's link on the way."""
         passed = []
         while True:
-            entry = self.state(e, ctype)
-            found = entry[0]
+            found = self.get(e, ctype)
             if found is not None:
                 break
-            step = _chain_step(host, e, ctype, params, meter, self)
-            if step.kind == "next":
-                passed.append((entry, e, ctype))
-                e, ctype = step.e_next, step.type_next
-                continue
-            if step.kind == "suffix":
-                found = ((step.start, e), (ctype,))
-            elif step.kind == "pair":
-                found = ((step.start, step.e_next, e), (P2G_AB, ctype))
-            else:
-                found = _BAD
-            entry[0] = found
-            break
-        for entry, e, ctype in reversed(passed):
+            found, e_next, type_next = _chain_step(host, e, ctype, params,
+                                                   meter, self)
+            if found is not None:
+                self.put(e, ctype, found)
+                break
+            passed.append((e, ctype))
+            e, ctype = e_next, type_next
+        for e, ctype in reversed(passed):
             if found is not _BAD:
-                found = (found[0] + (e,), found[1] + (ctype,))
-            entry[0] = found
+                found = _grow(host, found, e, ctype, params)
+            self.put(e, ctype, found)
         return found
 
     def rebase(self, word: Word) -> None:
-        """Move to word, keeping the states on the prefix it shares with
-        the old word: those up to the first rewritten position."""
+        """Move to word, the result of a push on the current word, keeping
+        the states on the prefix the two share: those up to the first
+        rewritten position.  A word one letter longer was appended to,
+        as an RRS push shortens the word, so every state is kept."""
         old = self.word
-        k = min(len(old), len(word))
-        if old[:k] != word[:k]:
-            # old[:lo] == word[:lo] and old[:k] != word[:k]: halve
-            lo = 0
-            while k - lo > 1:
-                mid = (lo + k) // 2
-                if old[lo:mid] == word[lo:mid]:
-                    lo = mid
-                else:
-                    k = mid
-            k = lo
-        for known in self.states.values():
-            del known[k + 1:]
+        if len(word) != len(old) + 1:
+            k = min(len(old), len(word))
+            if old[:k] != word[:k]:
+                # old[:lo] == word[:lo] and old[:k] != word[:k]: halve
+                lo = 0
+                while k - lo > 1:
+                    mid = (lo + k) // 2
+                    if old[lo:mid] == word[lo:mid]:
+                        lo = mid
+                    else:
+                        k = mid
+                k = lo
+            for known in self.states.values():
+                del known[k + 1:]
         self.word = word
 
 
@@ -586,8 +571,8 @@ _active = threading.local()
 
 @contextmanager
 def chain_memo(word: Word) -> Iterator[ChainMemo]:
-    """Share chain steps between the find_optimal_rrs calls made inside
-    the block, starting from word.  The caller rebases the memo onto each
+    """Share verified chain walks between the find_optimal_rrs calls made
+    inside the block, starting from word.  The caller rebases the memo onto each
     new word; a call on any other word gets a fresh memo."""
     memo = ChainMemo(word)
     outer = getattr(_active, "memo", None)
@@ -608,16 +593,18 @@ def find_optimal_rrs(w: Word, x: int, params: GroupParams,
     derives every u_i by the chain rule and verifies its criticality.
     Returns None exactly when w x is in W.
 
-    Chain walks and checked links go through a ChainMemo.  The walk from
-    the state (e, type), and the link u_i that ends there, read
-    host[:e] = w[:e] only, so inside a chain_memo block (one reduction)
-    the walks and links an earlier push derived on the same prefix are
-    reused: the search looks up the walk of its first state, taking
-    chain steps only until a state whose walk is known, and the checking
-    pass derives only the links right of the rightmost one already known.
-    The block rebases the memo after every push, which drops the states
-    from the first rewritten position on.  Any other call, or a call on a
-    word other than the memo's, starts with an empty memo.
+    The chain walk goes through a ChainMemo, which derives and verifies
+    each link u_i as it fills in the slot of the state where u_i ends.
+    A state's slot reads host[:e] = w[:e] only, so inside a chain_memo
+    block (one reduction) the slots an earlier push filled on the same
+    prefix are reused: the search looks up the slot of its first state,
+    taking chain steps only until a state whose slot is known.  A chain
+    with a link that is not critical ends the search with None at once;
+    otherwise check_rrs gets the verified links and checks only the cuts
+    and u_{m+1}.  The block rebases the memo after every push, which
+    drops the states from the first rewritten position on.  Any other
+    call, or a call on a word other than the memo's, starts with an empty
+    memo.
     """
     L = len(w)
     host = w + (x,)
@@ -649,5 +636,5 @@ def find_optimal_rrs(w: Word, x: int, params: GroupParams,
     found = memo.walk(host, j, type_i, params, meter)
     if found is _BAD:
         return None
-    cuts, types = found
-    return check_rrs(host, cuts + (L,), types, params, memo)
+    cuts, types, links = found
+    return check_rrs(host, cuts + (L,), types, params, links)

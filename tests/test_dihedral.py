@@ -4,6 +4,7 @@ import pytest
 
 from artinword.core import format_word, inverse_letter, parse_word
 from artinword.dihedral import (
+    CriticalSuffixScanner,
     delta,
     is_critical_2gen,
     is_geodesic_2gen,
@@ -223,3 +224,31 @@ class TestPairRepWitness:
             assert rep.equal(u, v) == want, (F(u), F(v))
             checked_eq += want
         assert checked_eq >= 1  # the sample contains some true equalities
+
+
+class TestCriticalSuffixScanner:
+    def test_every_feed(self, params5, params6):
+        """After every feed, the scanner answers for the suffix fed so
+        far as the whole-word checker does, its pn is that suffix's
+        capped profile, and once it is dead no longer suffix is
+        critical."""
+        rng = random.Random(67)
+        hits = 0
+        for params in (params5, params6):
+            for pair in ("ab", "bc", "ac"):
+                letters = pair_letters(pair)
+                for _ in range(300):
+                    w = random_reduced_word(rng, rng.randint(1, 14), letters)
+                    scan = CriticalSuffixScanner(pair, params)
+                    for s in range(len(w) - 1, -1, -1):
+                        scan.feed(w[s])
+                        u = w[s:]
+                        want = is_critical_2gen(u, pair, params) is not None
+                        hits += want
+                        assert scan.critical == want, (F(w), s, pair)
+                        if scan.dead:
+                            assert not want, (F(w), s, pair)
+                            continue
+                        pr = profile(u, pair, params)
+                        assert scan.pn == (pr.p, pr.n), (F(w), s, pair)
+        assert hits > 500

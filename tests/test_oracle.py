@@ -1,8 +1,15 @@
+import heapq
 import random
 
 import pytest
 
-from artinword.core import ResourceLimitError, format_word, parse_word
+from artinword import oracle
+from artinword.core import (
+    ResourceLimitError,
+    format_word,
+    free_reduce,
+    parse_word,
+)
 from artinword.oracle import (
     OracleConfig,
     equivalence_closure,
@@ -58,6 +65,61 @@ class TestGeodesicLength:
             oracle_geodesic_length(P("bcbcabacbcB"),
                                    OracleConfig(slack=4, node_cap=10),
                                    params5)
+
+    def test_matches_single_heap_search(self, monkeypatch, params4,
+                                        params5, params6):
+        """The search expands the words that one (length, word) heap
+        with the same adaptive bound expands: same length, and as many
+        expansions."""
+        expanded = [0]
+        expand_one = oracle._Search.expand_one
+
+        def counted(self, other_seen=None):
+            expanded[0] += 1
+            return expand_one(self, other_seen)
+        monkeypatch.setattr(oracle._Search, "expand_one", counted)
+        rng = random.Random(59)
+        for params in (params4, params5, params6):
+            for slack in (0, 1, 2, 4):
+                for _ in range(20):
+                    w = random_raw_word(rng, rng.randint(0, 7))
+                    expanded[0] = 0
+                    got = oracle_geodesic_length(w, OracleConfig(slack=slack),
+                                                 params)
+                    want = single_heap_search(w, slack, params)
+                    assert (got, expanded[0]) == want, (F(w), slack)
+
+
+def single_heap_search(w, slack, params):
+    """(length, expansions) of the oracle's search written plainly: every
+    neighbour in turn, pending words in one heap of (length, word)."""
+    table = oracle._relator_table(params)
+    start = bytes(free_reduce(w))
+    floor = oracle._ab_lower_bound(free_reduce(w), params)
+    floor += (len(start) - floor) % 2
+    seen, heap = {start}, [(len(start), start)]
+    min_len, bound, expansions = len(start), len(start) + slack, 0
+    while min_len > floor:
+        while heap and heap[0][0] > bound:
+            heapq.heappop(heap)
+        if not heap:
+            break
+        _, u = heapq.heappop(heap)
+        expansions += 1
+        nbrs = [u[:i] + rep + u[i + len(pat):] for pat, rep in table
+                for i in range(len(u)) if u.startswith(pat, i)]
+        nbrs += [u[:i] + u[i + 2:] for i in range(len(u) - 1)
+                 if u[i] == (u[i + 1] + 3) % 6]
+        if len(u) + 2 <= bound:
+            nbrs += [u[:i] + bytes((l, (l + 3) % 6)) + u[i:]
+                     for i in range(len(u) + 1) for l in range(6)]
+        for v in nbrs:
+            if len(v) <= bound and v not in seen:
+                seen.add(v)
+                if len(v) < min_len:
+                    min_len, bound = len(v), min(bound, len(v) + slack)
+                heapq.heappush(heap, (len(v), v))
+    return min_len, expansions
 
 
 class TestEqual:

@@ -1,8 +1,10 @@
 import random
 
 from artinword.core import format_word, parse_word
-from artinword.dihedral import is_critical_2gen, tau_2gen
+from artinword.dihedral import is_critical_2gen, profile, tau_2gen
 from artinword.p2g import (
+    P2GSuffixScanner,
+    commuting_z,
     decompose_p2g,
     is_p2g_critical,
     shortest_p2g_critical_suffix,
@@ -138,3 +140,38 @@ class TestShortestSuffix:
                             want = s
                             break
                     assert got == want, (F(w), pair, params.n)
+
+
+class TestP2GSuffixScanner:
+    def test_every_feed(self, params5, params6):
+        """After every feed, the scanner answers for the suffix fed so
+        far as is_p2g_critical does, its hat scanner's pn is the capped
+        profile of that suffix's hat, and once it is dead no longer
+        suffix is critical."""
+        rng = random.Random(71)
+        hits = 0
+        for params in (params5, params6):
+            for pair in ("ab", "bc"):
+                z = ord(commuting_z(pair)) - 97
+                for letters in (tuple(range(6)), pair_letters(pair)
+                                + (z, z + 3)):
+                    for _ in range(300):
+                        w = random_reduced_word(rng, rng.randint(1, 14),
+                                                letters)
+                        scan = P2GSuffixScanner(pair, params)
+                        for s in range(len(w) - 1, -1, -1):
+                            scan.feed(w[s])
+                            u = w[s:]
+                            want = is_p2g_critical(u, pair, params) is not None
+                            hits += want
+                            assert scan.critical == want, \
+                                (F(w), s, pair)
+                            if scan.dead:
+                                assert not want, (F(w), s, pair)
+                                continue
+                            hat = tuple(l for l in u if l % 3 != z)
+                            if hat:
+                                pr = profile(hat, pair, params)
+                                assert scan.inner.pn == (pr.p, pr.n), \
+                                    (F(w), s, pair)
+        assert hits > 200
