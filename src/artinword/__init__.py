@@ -28,7 +28,6 @@ from .dihedral import (
     delta_word,
     is_critical_2gen,
     is_geodesic_2gen,
-    profile,
     shortest_critical_suffix_2gen,
     tau_2gen,
     to_bab_form,
@@ -83,8 +82,8 @@ __all__ = [
     "parse_word",
     # dihedral
     "AlternationProfile", "TwoGenCriticalWitness", "delta", "delta_word",
-    "is_critical_2gen", "is_geodesic_2gen", "profile",
-    "shortest_critical_suffix_2gen", "tau_2gen", "to_bab_form",
+    "is_critical_2gen", "is_geodesic_2gen", "shortest_critical_suffix_2gen",
+    "tau_2gen", "to_bab_form",
     # p2g
     "P2GWitness", "decompose_p2g", "is_p2g_critical",
     "shortest_p2g_critical_suffix", "tau_p2g",

@@ -114,18 +114,16 @@ def _sharp_tail(d: P2GWitness, bab: BabForm) -> Word:
     return power_word(_C_LETTER, d.alpha) + power_word(_B_LETTER, bab.i)
 
 
-def _split_before(w: Word, s: int, r0: int) -> Optional[int]:
-    """p_end for the u_p | u_q split of w[s:r0], or None if invalid.
+def _split_before(w: Word, r0: int) -> Optional[int]:
+    """p_end for the u_p | u_q split of w[:r0] (r0 > 0), or None if invalid.
 
     u_p is the maximal leading block: a b-power, or an {a,c}-word starting
     with c; every name-a letter left of r0 must land inside u_p.
     """
-    if s >= r0:
-        return None
-    first = w[s] % 3
+    first = w[0] % 3
     if first == _A_LETTER:
         return None
-    i = s
+    i = 0
     if first == _B_LETTER:
         while i < r0 and w[i] % 3 == _B_LETTER:
             i += 1
@@ -138,12 +136,12 @@ def _split_before(w: Word, s: int, r0: int) -> Optional[int]:
     return i
 
 
-def _witness_at(w: Word, s: int, end: int, r0: int, d: P2GWitness,
-                bab: BabForm, params: GroupParams) -> Optional[AbcWitness]:
-    p_end = _split_before(w, s, r0)
+def _witness_at(w: Word, r0: int, d: P2GWitness, bab: BabForm,
+                params: GroupParams) -> Optional[AbcWitness]:
+    p_end = _split_before(w, r0)
     if p_end is None:
         return None
-    u_sharp = w[s:r0] + _sharp_tail(d, bab)
+    u_sharp = w[:r0] + _sharp_tail(d, bab)
     sw = is_p2g_critical(u_sharp, "bc", params)
     if sw is None:
         return None
@@ -152,14 +150,10 @@ def _witness_at(w: Word, s: int, end: int, r0: int, d: P2GWitness,
     if last % 3 != _C_LETTER:
         raise AssertionError("tau(hat(u_sharp)) must end with a name-c letter")
     eps = 1 if last < 3 else -1
-    if s == 0 and end == len(w):
-        word = w
-    else:
-        word = w[s:end]
     return AbcWitness(
-        word=word,
-        p_end=p_end - s,
-        r_start=r0 - s,
+        word=w,
+        p_end=p_end,
+        r_start=r0,
         ur_witness=d,
         bab=bab,
         u_sharp=u_sharp,
@@ -183,7 +177,7 @@ def is_abc_critical(w: Word, params: GroupParams) -> Optional[AbcWitness]:
     for r0, d, bab in _ur_candidates(w, len(w), params):
         if r0 == 0:
             continue
-        witness = _witness_at(w, 0, len(w), r0, d, bab, params)
+        witness = _witness_at(w, r0, d, bab, params)
         if witness is not None:
             return witness
     return None

@@ -22,11 +22,6 @@ EMPTY: Word = ()
 LETTER_CHARS = "abcABC"
 _CHAR_TO_LETTER = {ch: i for i, ch in enumerate(LETTER_CHARS)}
 
-A, B, C, AI, BI, CI = range(6)
-
-#: generator pairs, keyed by the sorted pair of generator names
-PAIRS = ("ab", "ac", "bc")
-
 
 class ParseError(ValueError):
     """Raised for malformed word text; ``position`` is a 0-based index."""
@@ -77,18 +72,11 @@ class GroupParams:
         raise ValueError(f"unknown generator pair {pair!r}")
 
 
-def name_index(letter: Letter) -> int:
-    """0, 1 or 2 for name a, b or c."""
-    return letter % 3
-
 def name_char(letter: Letter) -> str:
     return "abc"[letter % 3]
 
 def sign(letter: Letter) -> int:
     return 1 if letter < 3 else -1
-
-def is_positive(letter: Letter) -> bool:
-    return letter < 3
 
 def inverse_letter(letter: Letter) -> Letter:
     return (letter + 3) % 6
@@ -102,18 +90,6 @@ def commutes(l1: Letter, l2: Letter) -> bool:
     """True iff the two letters commute in G (same name, or names {a,c})."""
     n1, n2 = l1 % 3, l2 % 3
     return n1 == n2 or n1 + n2 == 2
-
-
-def pair_of_names(i: int, j: int) -> str:
-    """Sorted pair string for two distinct name indices."""
-    if i == j:
-        raise ValueError("need two distinct names")
-    return "".join(sorted(("abc"[i], "abc"[j])))
-
-
-def third_name(pair: str) -> str:
-    """The generator not in the pair."""
-    return ({"a", "b", "c"} - set(pair)).pop()
 
 
 def parse_word(text: str) -> Word:

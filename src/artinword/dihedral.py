@@ -1,8 +1,9 @@
 """Two-generator machinery for the dihedral Artin subgroups <x, y>.
 
-Covers alternation profiles p/n, the geodesic criterion, critical words
-and their tau rewriting, the shortest-critical-suffix scan, and the
-linear-time transformation of {a,b}-words into b^i a^j b^k form.
+Covers the suffix scanner, which alone computes alternation runs and
+decides criticality, the geodesic criterion and critical-word check it
+gives on whole words, tau rewriting, the shortest-critical-suffix scan,
+and the linear-time transformation of {a,b}-words into b^i a^j b^k form.
 
 A word over a pair {x, y} with relation length m is *critical* when
 p + n = m (p and n are the longest positive / negative alternating
@@ -23,7 +24,6 @@ from .core import (
     Letter,
     Word,
     inverse_letter,
-    is_freely_reduced,
     make_alternating,
     make_letter,
     name_char,
@@ -70,104 +70,50 @@ def _check_pair(w: Word, pair: str) -> None:
                 f"letter {name_char(l)!r} outside generator pair {pair}")
 
 
-def profile(w: Word, pair: str, params: GroupParams) -> AlternationProfile:
-    """Longest positive/negative alternating substring lengths, capped at m.
-
-    Single scan; raises ValueError on letters outside the pair.
-    """
-    _check_pair(w, pair)
-    m = params.m(pair)
-    raw_p = raw_n = 0
-    run_p = run_n = 0
-    prev = -1
-    for l in w:
-        if l < 3:
-            run_p = run_p + 1 if (run_p and prev % 3 != l % 3) else 1
-            run_n = 0
-            if run_p > raw_p:
-                raw_p = run_p
-        else:
-            run_n = run_n + 1 if (run_n and prev % 3 != l % 3) else 1
-            run_p = 0
-            if run_n > raw_n:
-                raw_n = run_n
-        prev = l
-    return AlternationProfile(min(m, raw_p), min(m, raw_n), m, raw_p, raw_n)
+def _scan(w: Word, pair: str, params: GroupParams) -> CriticalSuffixScanner:
+    """The scanner fed w right to left, up to its first letter or until it
+    dies; raises ValueError on letters outside the pair."""
+    scan = CriticalSuffixScanner(pair, params)
+    feed = scan.feed
+    for l in reversed(w):
+        feed(l)
+        if scan.dead:
+            # only a dead scan can have met, or stopped short of, a letter
+            # outside the pair
+            _check_pair(w, pair)
+            break
+    return scan
 
 
 def is_geodesic_2gen(w: Word, pair: str, params: GroupParams) -> bool:
-    """Mairesse-Matheus criterion: geodesic iff p + n <= m (capped values)."""
-    pr = profile(w, pair, params)
-    return pr.p + pr.n <= pr.m
-
-
-def _lead_run(w: Word, positive: bool) -> int:
-    """Length of the maximal alternating same-sign prefix."""
-    k = 0
-    prev = -1
-    for l in w:
-        if (l < 3) != positive or (k and l % 3 == prev % 3):
-            break
-        k += 1
-        prev = l
-    return k
-
-
-def _trail_run(w: Word, positive: bool) -> int:
-    k = 0
-    prev = -1
-    for l in reversed(w):
-        if (l < 3) != positive or (k and l % 3 == prev % 3):
-            break
-        k += 1
-        prev = l
-    return k
+    """Mairesse-Matheus criterion: a freely reduced word is geodesic iff
+    p + n <= m (capped values).  An unreduced word is not geodesic."""
+    return not _scan(w, pair, params).dead
 
 
 def is_critical_2gen(w: Word, pair: str, params: GroupParams,
                      ) -> Optional[TwoGenCriticalWitness]:
     """Witness iff w is a 2-generator critical word over the pair.
 
-    Unreduced or empty words are never critical.  Linear time.
+    Unreduced or empty words are never critical; letters outside the
+    pair raise ValueError.  Linear time.
     """
-    if not w or not is_freely_reduced(w):
+    scan = _scan(w, pair, params)
+    shape = scan.shape
+    if shape is None:
         return None
-    pr = profile(w, pair, params)
-    m = pr.m
-    if pr.p + pr.n != m:
-        return None
-    n_letters = sum(1 for l in w if l >= 3)
-    first_pos, last_pos = w[0] < 3, w[-1] < 3
-
-    if n_letters == 0:
-        # positive word with p = m: the full alternating block must sit at
-        # an end, break exactly there, and the remainder must stay below m.
-        if _lead_run(w, True) == m and profile(w[m:], pair, params).p < m:
-            return TwoGenCriticalWitness(w, pair, POSITIVE_LEFT, pr, m, 0)
-        if (len(w) > m and _trail_run(w, True) == m
-                and profile(w[:len(w) - m], pair, params).p < m):
-            return TwoGenCriticalWitness(w, pair, POSITIVE_RIGHT, pr, 0, m)
-        return None
-
-    if n_letters == len(w):
-        if _lead_run(w, False) == m and profile(w[m:], pair, params).n < m:
-            return TwoGenCriticalWitness(w, pair, NEGATIVE_LEFT, pr, m, 0)
-        if (len(w) > m and _trail_run(w, False) == m
-                and profile(w[:len(w) - m], pair, params).n < m):
-            return TwoGenCriticalWitness(w, pair, NEGATIVE_RIGHT, pr, 0, m)
-        return None
-
-    # unsigned: opposite-signed ends carrying the full p- and n-blocks
-    if first_pos and not last_pos:
-        if _lead_run(w, True) == pr.p and _trail_run(w, False) == pr.n:
-            return TwoGenCriticalWitness(
-                w, pair, UNSIGNED_POS_NEG, pr, pr.p, pr.n)
-        return None
-    if not first_pos and last_pos:
-        if _lead_run(w, False) == pr.n and _trail_run(w, True) == pr.p:
-            return TwoGenCriticalWitness(
-                w, pair, UNSIGNED_NEG_POS, pr, pr.n, pr.p)
-    return None
+    m = scan.m
+    p, n = scan.pn
+    if shape in (POSITIVE_LEFT, NEGATIVE_LEFT):
+        lead, trail = m, 0
+    elif shape in (POSITIVE_RIGHT, NEGATIVE_RIGHT):
+        lead, trail = 0, m
+    elif shape == UNSIGNED_POS_NEG:
+        lead, trail = p, n
+    else:
+        lead, trail = n, p
+    pr = AlternationProfile(p, n, m, scan.raw_p, scan.raw_n)
+    return TwoGenCriticalWitness(w, pair, shape, pr, lead, trail)
 
 
 def delta(letter: Letter, pair: str, params: GroupParams) -> Letter:
@@ -275,13 +221,11 @@ def to_bab_form(v: Word, params: GroupParams) -> Optional[BabForm]:
             raise ValueError("to_bab_form expects an {a,b}-word")
     if not v or v[0] % 3 != _A or v[-1] % 3 != _A:
         raise ValueError("first and last letters must have name a")
-    if not is_freely_reduced(v):
-        return None
-    pr = profile(v, "ab", params)
-    if pr.p + pr.n != 3:
+    scan = _scan(v, "ab", params)
+    if scan.dead or sum(scan.pn) != 3:
         return None
 
-    neg = sum(1 for l in v if l >= 3)
+    neg = scan.neg_count
     if neg == 0 or neg == len(v):
         # signed case: a^p b a or a b a^s up to inversion (|j| = 1)
         s = 1 if neg == 0 else -1
@@ -358,18 +302,22 @@ def to_bab_form(v: Word, params: GroupParams) -> Optional[BabForm]:
 
 
 class CriticalSuffixScanner:
-    """Incremental criticality test for the suffixes of a fixed word.
+    """Incremental criticality test for the suffixes of a fixed word: the
+    one place that computes alternation runs and decides criticality.
 
     Letters are fed right to left (the first letter fed is the word's last
     letter); after each feed, critical tells whether the word fed so far
-    is critical.  O(1) work and O(m) state per feed.  The scanner goes
+    is critical, and shape names the witness shape that fired (None when
+    not critical).  O(1) work and O(1) state per feed.  The scanner goes
     dead once no longer suffix can be critical (p+n passed m, a letter
-    outside the pair, or a cancelling pair).
+    outside the pair, or a cancelling pair).  Feeding a whole word this
+    way gives the whole-word checkers above.
     """
 
-    __slots__ = ("m", "allowed", "count", "dead", "critical", "prev",
-                 "last", "lead_len", "raw_p", "raw_n", "neg_count",
-                 "trail_pos", "trail_neg", "g_pos", "g_neg", "hist")
+    __slots__ = ("m", "allowed", "count", "dead", "critical", "shape",
+                 "prev", "last", "lead_len", "raw_p", "raw_n", "full_p",
+                 "full_n", "neg_count", "trail_pos", "trail_neg", "g_pos",
+                 "g_neg")
 
     def __init__(self, pair: str, params: GroupParams):
         self.m = params.m(pair)
@@ -377,17 +325,19 @@ class CriticalSuffixScanner:
         self.count = 0
         self.dead = False
         self.critical = False
+        self.shape: Optional[str] = None
         self.prev = -1           # most recently fed letter
         self.last = -1           # first letter fed = last letter of word
         self.lead_len = 0        # alternating same-sign run at the left end
         self.raw_p = 0
         self.raw_n = 0
+        self.full_p = 0          # feed count at which raw_p reached m
+        self.full_n = 0
         self.neg_count = 0
         self.trail_pos = 0       # alternating runs anchored at the right end
         self.trail_neg = 0
         self.g_pos = 0           # max run length clipped to >= m from the end
         self.g_neg = 0
-        self.hist = deque(maxlen=self.m + 1)   # (p_cap, n_cap) history
 
     def feed(self, l: Letter) -> None:
         if self.dead:
@@ -397,6 +347,7 @@ class CriticalSuffixScanner:
         if name not in self.allowed or prev == (l + 3) % 6:
             self.dead = True
             self.critical = False
+            self.shape = None
             return
         k = self.count
         m = self.m
@@ -413,11 +364,15 @@ class CriticalSuffixScanner:
                 self.trail_pos += 1
             if lead > self.raw_p:
                 self.raw_p = lead
+                if lead == m:
+                    self.full_p = k + 1
         else:
             if k == self.trail_neg and (k == 0 or prev % 3 != name):
                 self.trail_neg += 1
             if lead > self.raw_n:
                 self.raw_n = lead
+                if lead == m:
+                    self.full_n = k + 1
             self.neg_count += 1
         length = self.count = k + 1
         if length > m:
@@ -430,31 +385,35 @@ class CriticalSuffixScanner:
         self.prev = l
         p = self.raw_p if self.raw_p < m else m
         n = self.raw_n if self.raw_n < m else m
-        self.hist.append((p, n))
+        shape = None
+        neg = self.neg_count
+        # a left-end block of m letters is a witness's only if the word
+        # right of it (the first length - m letters fed) has p or n < m
         if p + n != m:
             self.dead = p + n > m
-            self.critical = False
-            return
-        neg = self.neg_count
-        if neg == 0:
-            self.critical = (
-                (lead == m and (length == m or self.hist[0][0] < m))
-                or (length > m and self.trail_pos == m and self.g_pos < m))
+        elif neg == 0:
+            if lead == m and self.full_p > length - m:
+                shape = POSITIVE_LEFT
+            elif length > m and self.trail_pos == m and self.g_pos < m:
+                shape = POSITIVE_RIGHT
         elif neg == length:
-            self.critical = (
-                (lead == m and (length == m or self.hist[0][1] < m))
-                or (length > m and self.trail_neg == m and self.g_neg < m))
+            if lead == m and self.full_n > length - m:
+                shape = NEGATIVE_LEFT
+            elif length > m and self.trail_neg == m and self.g_neg < m:
+                shape = NEGATIVE_RIGHT
         elif positive:
-            self.critical = (self.last >= 3 and lead == p
-                             and self.trail_neg == n)
-        else:
-            self.critical = (self.last < 3 and lead == n
-                             and self.trail_pos == p)
+            if self.last >= 3 and lead == p and self.trail_neg == n:
+                shape = UNSIGNED_POS_NEG
+        elif self.last < 3 and lead == n and self.trail_pos == p:
+            shape = UNSIGNED_NEG_POS
+        self.shape = shape
+        self.critical = shape is not None
 
     @property
     def pn(self) -> tuple[int, int]:
         """(p, n) of the word fed so far, each capped at m."""
-        return self.hist[-1]
+        m = self.m
+        return min(self.raw_p, m), min(self.raw_n, m)
 
 
 def shortest_critical_suffix_2gen(w: Word, pair: str, params: GroupParams,

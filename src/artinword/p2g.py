@@ -134,8 +134,6 @@ def is_p2g_critical(w: Word, pair: str, params: GroupParams,
     z_idx = ord(commuting_z(pair)) - 97
     if not _z_signs_uniform(d.u_p, z_idx) or not _z_signs_uniform(d.u_s, z_idx):
         return None
-    if not is_freely_reduced(d.hat):
-        return None
     hw = is_critical_2gen(d.hat, pair, params)
     if hw is None:
         return None

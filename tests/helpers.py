@@ -195,6 +195,129 @@ def ur_candidates_reference(w: Word, end: int, params: GroupParams) -> list:
     return out
 
 
+# Reference checkers for the 2-generator and P2G suffix scanners: the
+# direct whole-word definitions (a profile scan, end runs and a case
+# analysis over the six witness shapes), independent of the scanners.
+
+def profile(w: Word, pair: str, params: GroupParams):
+    """Longest positive/negative alternating substring lengths, capped at m.
+
+    Single scan; raises ValueError on letters outside the pair.
+    """
+    from artinword.dihedral import AlternationProfile, _check_pair
+
+    _check_pair(w, pair)
+    m = params.m(pair)
+    raw_p = raw_n = 0
+    run_p = run_n = 0
+    prev = -1
+    for l in w:
+        if l < 3:
+            run_p = run_p + 1 if (run_p and prev % 3 != l % 3) else 1
+            run_n = 0
+            if run_p > raw_p:
+                raw_p = run_p
+        else:
+            run_n = run_n + 1 if (run_n and prev % 3 != l % 3) else 1
+            run_p = 0
+            if run_n > raw_n:
+                raw_n = run_n
+        prev = l
+    return AlternationProfile(min(m, raw_p), min(m, raw_n), m, raw_p, raw_n)
+
+
+def _lead_run(w: Word, positive: bool) -> int:
+    """Length of the maximal alternating same-sign prefix."""
+    k = 0
+    prev = -1
+    for l in w:
+        if (l < 3) != positive or (k and l % 3 == prev % 3):
+            break
+        k += 1
+        prev = l
+    return k
+
+
+def _trail_run(w: Word, positive: bool) -> int:
+    k = 0
+    prev = -1
+    for l in reversed(w):
+        if (l < 3) != positive or (k and l % 3 == prev % 3):
+            break
+        k += 1
+        prev = l
+    return k
+
+
+def critical_2gen_reference(w: Word, pair: str, params: GroupParams):
+    """Witness iff w is a 2-generator critical word over the pair.
+
+    Unreduced or empty words are never critical.  Linear time.
+    """
+    from artinword.core import is_freely_reduced
+    from artinword.dihedral import (
+        NEGATIVE_LEFT, NEGATIVE_RIGHT, POSITIVE_LEFT, POSITIVE_RIGHT,
+        UNSIGNED_NEG_POS, UNSIGNED_POS_NEG, TwoGenCriticalWitness)
+
+    if not w or not is_freely_reduced(w):
+        return None
+    pr = profile(w, pair, params)
+    m = pr.m
+    if pr.p + pr.n != m:
+        return None
+    n_letters = sum(1 for l in w if l >= 3)
+    first_pos, last_pos = w[0] < 3, w[-1] < 3
+
+    if n_letters == 0:
+        # positive word with p = m: the full alternating block must sit at
+        # an end, break exactly there, and the remainder must stay below m.
+        if _lead_run(w, True) == m and profile(w[m:], pair, params).p < m:
+            return TwoGenCriticalWitness(w, pair, POSITIVE_LEFT, pr, m, 0)
+        if (len(w) > m and _trail_run(w, True) == m
+                and profile(w[:len(w) - m], pair, params).p < m):
+            return TwoGenCriticalWitness(w, pair, POSITIVE_RIGHT, pr, 0, m)
+        return None
+
+    if n_letters == len(w):
+        if _lead_run(w, False) == m and profile(w[m:], pair, params).n < m:
+            return TwoGenCriticalWitness(w, pair, NEGATIVE_LEFT, pr, m, 0)
+        if (len(w) > m and _trail_run(w, False) == m
+                and profile(w[:len(w) - m], pair, params).n < m):
+            return TwoGenCriticalWitness(w, pair, NEGATIVE_RIGHT, pr, 0, m)
+        return None
+
+    # unsigned: opposite-signed ends carrying the full p- and n-blocks
+    if first_pos and not last_pos:
+        if _lead_run(w, True) == pr.p and _trail_run(w, False) == pr.n:
+            return TwoGenCriticalWitness(
+                w, pair, UNSIGNED_POS_NEG, pr, pr.p, pr.n)
+        return None
+    if not first_pos and last_pos:
+        if _lead_run(w, False) == pr.n and _trail_run(w, True) == pr.p:
+            return TwoGenCriticalWitness(
+                w, pair, UNSIGNED_NEG_POS, pr, pr.n, pr.p)
+    return None
+
+
+def p2g_critical_reference(w: Word, pair: str, params: GroupParams) -> bool:
+    """P2G criticality from the definition: w is freely reduced, has a
+    P2G decomposition, each outer block's z-letters carry one sign, and
+    the hat is critical by critical_2gen_reference."""
+    from artinword.core import is_freely_reduced
+    from artinword.p2g import commuting_z, decompose_p2g
+
+    if not is_freely_reduced(w):
+        return False
+    d = decompose_p2g(w, pair, params)
+    if d is None:
+        return False
+    z = ord(commuting_z(pair)) - 97
+    for block in (d.u_p, d.u_s):
+        if len({l < 3 for l in block if l % 3 == z}) > 1:
+            return False
+    return critical_2gen_reference(d.hat, pair, params) is not None
+
+
 def relator_words(n: int) -> list[Word]:
     """Every cyclic conjugate of the relators of G(n) and their inverses."""
     rels = [(0, 1, 0, 4, 3, 4), (0, 2, 3, 5),

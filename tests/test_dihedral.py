@@ -5,39 +5,22 @@ import pytest
 from artinword.core import format_word, inverse_letter, parse_word
 from artinword.dihedral import (
     CriticalSuffixScanner,
+    _scan,
     delta,
     is_critical_2gen,
     is_geodesic_2gen,
-    profile,
     shortest_critical_suffix_2gen,
     tau_2gen,
     to_bab_form,
 )
 from artinword.oracle import OracleConfig, oracle_geodesic_length
 
-from helpers import (PairRep, ac_equal, bab_word, pair_letters,
-                     random_reduced_word, reduced_words)
+from helpers import (PairRep, ac_equal, bab_word, critical_2gen_reference,
+                     pair_letters, profile, random_reduced_word,
+                     reduced_words)
 
 P = parse_word
 F = format_word
-
-
-class TestProfile:
-    def test_examples(self, params5):
-        pr = profile(P("aba"), "ab", params5)
-        assert (pr.p, pr.n) == (3, 0)
-        pr = profile(P("abbbA"), "ab", params5)
-        assert (pr.p, pr.n) == (2, 1)
-        pr = profile((), "ab", params5)
-        assert (pr.p, pr.n) == (0, 0)
-
-    def test_capping(self, params5):
-        pr = profile(P("abab"), "ab", params5)
-        assert pr.p == 3 and pr.raw_p == 4
-
-    def test_outside_pair(self, params5):
-        with pytest.raises(ValueError):
-            profile(P("abc"), "ab", params5)
 
 
 class TestGeodesic2Gen:
@@ -48,6 +31,13 @@ class TestGeodesic2Gen:
         # abab is geodesic: its exponent sum is 4 and every relation
         # preserves exponent sums, so nothing shorter represents it
         assert is_geodesic_2gen(P("abab"), "ab", params5)
+        # unreduced words are not geodesic (lengths 0 and 2)
+        assert not is_geodesic_2gen(P("aA"), "ab", params5)
+        assert not is_geodesic_2gen(P("abBa"), "ab", params5)
+
+    def test_outside_pair(self, params5):
+        with pytest.raises(ValueError):
+            is_geodesic_2gen(P("abc"), "ab", params5)
 
     @pytest.mark.parametrize("pair,n", [("ab", 5), ("bc", 5), ("bc", 6),
                                         ("ac", 5)])
@@ -80,6 +70,28 @@ class TestCritical2Gen:
 
     def test_rejects_unreduced(self, params5):
         assert is_critical_2gen(P("abBa"), "ab", params5) is None
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_witness_matches_reference(self, n):
+        """Every witness field equals the direct case analysis's, on
+        seeded words over each pair, freely reduced or not."""
+        from artinword.core import GroupParams
+        params = GroupParams(n)
+        rng = random.Random(100 + n)
+        hits = 0
+        for pair in ("ab", "bc", "ac"):
+            letters = pair_letters(pair)
+            for i in range(1500):
+                L = rng.randint(0, 2 * params.m(pair) + 4)
+                if i % 4:
+                    w = random_reduced_word(rng, L, letters)
+                else:
+                    w = tuple(rng.choice(letters) for _ in range(L))
+                got = is_critical_2gen(w, pair, params)
+                want = critical_2gen_reference(w, pair, params)
+                assert got == want, (F(w), pair, got, want)
+                hits += got is not None
+        assert hits > 100
 
 
 class TestDelta:
@@ -191,7 +203,7 @@ class TestShortestCriticalSuffix:
                     got = shortest_critical_suffix_2gen(w, pair, params)
                     want = None
                     for s in range(len(w) - 1, -1, -1):
-                        if is_critical_2gen(w[s:], pair, params):
+                        if critical_2gen_reference(w[s:], pair, params):
                             want = s
                             break
                     assert got == want, (F(w), pair)
@@ -227,11 +239,20 @@ class TestPairRepWitness:
 
 
 class TestCriticalSuffixScanner:
+    def test_pn_examples(self, params5):
+        assert _scan(P("aba"), "ab", params5).pn == (3, 0)
+        assert _scan(P("abbbA"), "ab", params5).pn == (2, 1)
+        assert _scan((), "ab", params5).pn == (0, 0)
+
+    def test_pn_capping(self, params5):
+        scan = _scan(P("abab"), "ab", params5)
+        assert scan.pn == (3, 0) and scan.raw_p == 4
+
     def test_every_feed(self, params5, params6):
         """After every feed, the scanner answers for the suffix fed so
-        far as the whole-word checker does, its pn is that suffix's
-        capped profile, and once it is dead no longer suffix is
-        critical."""
+        far as the reference case analysis does, with the same shape,
+        its pn is that suffix's capped reference profile, and once it is
+        dead no longer suffix is critical."""
         rng = random.Random(67)
         hits = 0
         for params in (params5, params6):
@@ -243,9 +264,12 @@ class TestCriticalSuffixScanner:
                     for s in range(len(w) - 1, -1, -1):
                         scan.feed(w[s])
                         u = w[s:]
-                        want = is_critical_2gen(u, pair, params) is not None
+                        ref = critical_2gen_reference(u, pair, params)
+                        want = ref is not None
                         hits += want
                         assert scan.critical == want, (F(w), s, pair)
+                        assert scan.shape == (ref and ref.shape), \
+                            (F(w), s, pair)
                         if scan.dead:
                             assert not want, (F(w), s, pair)
                             continue

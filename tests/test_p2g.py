@@ -1,7 +1,7 @@
 import random
 
 from artinword.core import format_word, parse_word
-from artinword.dihedral import is_critical_2gen, profile, tau_2gen
+from artinword.dihedral import tau_2gen
 from artinword.p2g import (
     P2GSuffixScanner,
     commuting_z,
@@ -11,7 +11,9 @@ from artinword.p2g import (
     tau_p2g,
 )
 
-from helpers import PairRep, pair_letters, random_reduced_word, reduced_words
+from helpers import (PairRep, critical_2gen_reference, p2g_critical_reference,
+                     pair_letters, profile, random_reduced_word,
+                     reduced_words)
 
 P = parse_word
 F = format_word
@@ -69,7 +71,7 @@ class TestCriticality:
         for params, pair in ((params5, "ab"), (params5, "bc"),
                              (params6, "bc")):
             for w in reduced_words(pair_letters(pair), 8, min_len=1):
-                wit2 = is_critical_2gen(w, pair, params)
+                wit2 = critical_2gen_reference(w, pair, params)
                 witp = is_p2g_critical(w, pair, params)
                 assert (wit2 is None) == (witp is None), F(w)
                 if wit2 is not None:
@@ -136,7 +138,7 @@ class TestShortestSuffix:
                     got = shortest_p2g_critical_suffix(w, pair, params)
                     want = None
                     for s in range(len(w) - 1, -1, -1):
-                        if is_p2g_critical(w[s:], pair, params):
+                        if p2g_critical_reference(w[s:], pair, params):
                             want = s
                             break
                     assert got == want, (F(w), pair, params.n)
@@ -145,9 +147,9 @@ class TestShortestSuffix:
 class TestP2GSuffixScanner:
     def test_every_feed(self, params5, params6):
         """After every feed, the scanner answers for the suffix fed so
-        far as is_p2g_critical does, its hat scanner's pn is the capped
-        profile of that suffix's hat, and once it is dead no longer
-        suffix is critical."""
+        far as the P2G reference does, its hat scanner's pn is the capped
+        reference profile of that suffix's hat, and once it is dead no
+        longer suffix is critical."""
         rng = random.Random(71)
         hits = 0
         for params in (params5, params6):
@@ -162,7 +164,7 @@ class TestP2GSuffixScanner:
                         for s in range(len(w) - 1, -1, -1):
                             scan.feed(w[s])
                             u = w[s:]
-                            want = is_p2g_critical(u, pair, params) is not None
+                            want = p2g_critical_reference(u, pair, params)
                             hits += want
                             assert scan.critical == want, \
                                 (F(w), s, pair)
