@@ -52,6 +52,8 @@ class TestCommands:
     def test_oracle_length(self):
         r = run_cli("oracle-length", "bcbcabacbcB", "--slack", "4")
         assert r.returncode == 0 and r.stdout.strip() == "9"
+        r = run_cli("oracle-length", "abaB", "--n", str(10 ** 9))
+        assert r.returncode == 0 and r.stdout.strip() == "2"
 
     def test_fuzz_deterministic(self):
         r1 = run_cli("fuzz", "--count", "25", "--max-len", "8",

@@ -1,10 +1,13 @@
 import heapq
+import itertools
 import random
+import re
 
 import pytest
 
 from artinword import oracle
 from artinword.core import (
+    GroupParams,
     ResourceLimitError,
     format_word,
     free_reduce,
@@ -12,6 +15,7 @@ from artinword.core import (
 )
 from artinword.oracle import (
     OracleConfig,
+    ball,
     equivalence_closure,
     oracle_equal,
     oracle_equal_verdict,
@@ -68,16 +72,10 @@ class TestGeodesicLength:
 
     def test_matches_single_heap_search(self, monkeypatch, params4,
                                         params5, params6):
-        """The search expands the words that one (length, word) heap
-        with the same adaptive bound expands: same length, and as many
-        expansions."""
-        expanded = [0]
-        expand_one = oracle._Search.expand_one
-
-        def counted(self, other_seen=None):
-            expanded[0] += 1
-            return expand_one(self, other_seen)
-        monkeypatch.setattr(oracle._Search, "expand_one", counted)
+        """The class search finds the length that one (length, word) heap
+        over words with the same adaptive bound finds, and expands no more
+        classes than that search expands words."""
+        expanded = count_expansions(monkeypatch)
         rng = random.Random(59)
         for params in (params4, params5, params6):
             for slack in (0, 1, 2, 4):
@@ -86,8 +84,53 @@ class TestGeodesicLength:
                     expanded[0] = 0
                     got = oracle_geodesic_length(w, OracleConfig(slack=slack),
                                                  params)
-                    want = single_heap_search(w, slack, params)
-                    assert (got, expanded[0]) == want, (F(w), slack)
+                    want, word_expanded = single_heap_search(w, slack, params)
+                    assert got == want, (F(w), slack)
+                    assert expanded[0] <= word_expanded, (F(w), slack)
+
+    @pytest.mark.parametrize("n", (4, 5, 6, 7, 8))
+    def test_matches_word_search_wider(self, monkeypatch, n):
+        """As above at n = 4..8, on longer raw words and on words built
+        from relator sides, so that the {b,c} relators fire."""
+        params = GroupParams(n, allow_small_n=True)
+        expanded = count_expansions(monkeypatch)
+        rng = random.Random(4099 + n)
+        for k in range(24):
+            if k % 2:
+                w = random_raw_word(rng, rng.randint(6, 10))
+            else:
+                w = relator_rich_word(rng, params, 10)
+            slack = 2 if k % 3 else 4
+            expanded[0] = 0
+            got = oracle_geodesic_length(w, OracleConfig(slack=slack), params)
+            want, word_expanded = single_heap_search(w, slack, params)
+            assert got == want, (n, F(w), slack)
+            assert expanded[0] <= word_expanded, (n, F(w), slack)
+
+
+def count_expansions(monkeypatch):
+    """Count the calls of _Search.expand_one from here on."""
+    expanded = [0]
+    expand_one = oracle._Search.expand_one
+
+    def counted(self, other_seen=None):
+        expanded[0] += 1
+        return expand_one(self, other_seen)
+    monkeypatch.setattr(oracle._Search, "expand_one", counted)
+    return expanded
+
+
+def relator_rich_word(rng, params, max_len):
+    """A raw word of at most max_len letters made of random letters and
+    relator sides."""
+    sides = [bytes(left) for left, _ in oracle._relator_table(params, max_len)]
+    w = b""
+    while True:
+        piece = rng.choice(sides) if rng.random() < 0.4 else \
+            bytes((rng.randrange(6),))
+        if len(w) + len(piece) > max_len:
+            return tuple(w)
+        w += piece
 
 
 def single_heap_search(w, slack, params):
@@ -120,6 +163,79 @@ def single_heap_search(w, slack, params):
                     min_len, bound = len(v), min(bound, len(v) + slack)
                 heapq.heappush(heap, (len(v), v))
     return min_len, expansions
+
+
+def class_members(u):
+    """Every word of the a/c commutation class of the canonical word u."""
+    parts = re.split(oracle._B_LETTER, u)
+    choices = []
+    for k, part in enumerate(parts):
+        if k % 2:
+            choices.append([part])
+            continue
+        a_run = part.translate(None, oracle._C_NAMES)
+        c_run = part.translate(None, oracle._A_NAMES)
+        shuffles = []
+        for at in itertools.combinations(range(len(part)), len(a_run)):
+            letters, a, c = [], iter(a_run), iter(c_run)
+            for i in range(len(part)):
+                letters.append(next(a) if i in at else next(c))
+            shuffles.append(bytes(letters))
+        choices.append(shuffles)
+    return {b"".join(combo) for combo in itertools.product(*choices)}
+
+
+def word_neighbours(w, table, insert):
+    """Every word one relator substitution, cancelling-pair deletion and,
+    with insert, cancelling-pair insertion away from w."""
+    out = [w[:i] + rep + w[i + len(pat):] for pat, rep in table
+           for i in range(len(w)) if w.startswith(pat, i)]
+    out += [w[:i] + w[i + 2:] for i in range(len(w) - 1)
+            if w[i] == (w[i + 1] + 3) % 6]
+    if insert:
+        out += [w[:i] + bytes((l, (l + 3) % 6)) + w[i:]
+                for i in range(len(w) + 1) for l in range(6)]
+    return out
+
+
+class TestClassMoves:
+    def test_canonical_word(self):
+        canon = oracle._canon
+        assert canon(bytes(P("cab"))) == bytes(P("acb"))
+        assert canon(bytes(P("CaAcbcAB"))) == bytes(P("aACcbAcB"))
+        assert canon(b"") == b""
+        rng = random.Random(67)
+        for _ in range(200):
+            u = canon(bytes(random_raw_word(rng, rng.randint(0, 9))))
+            assert canon(u) == u
+            assert {canon(m) for m in class_members(u)} == {u}
+
+    @pytest.mark.parametrize("n", (4, 5, 6, 7))
+    def test_moves_are_the_class_moves(self, n):
+        """The classes one move away from the class of u are the classes
+        of the words one move away from any word of that class."""
+        params = GroupParams(n, allow_small_n=True)
+        table = oracle._relator_table(params)
+        rng = random.Random(71 + n)
+        fired = 0
+        for k in range(300):
+            if k % 2:
+                w = random_raw_word(rng, rng.randint(0, 9))
+            else:
+                w = relator_rich_word(rng, params, 9)
+            u = oracle._canon(bytes(w))
+            members = class_members(u)
+            for insert in (False, True):
+                index = oracle._class_index(params, len(u) + 2 * insert)
+                subs, dels = oracle._class_moves(u, index)
+                got = set(subs + dels)
+                if insert:
+                    got.update(oracle._class_insertions(u))
+                want = {oracle._canon(v) for m in members
+                        for v in word_neighbours(m, table, insert)}
+                assert got - {u} == want - {u}, (n, F(u), insert)
+                fired += bool(subs)
+        assert fired > 100
 
 
 class TestEqual:
@@ -182,3 +298,25 @@ class TestEquivalenceClosure:
     def test_cap(self, params5):
         with pytest.raises(ResourceLimitError):
             equivalence_closure(P("acacacacac"), params5, cap=5)
+
+
+class TestHugeN:
+    """Relators longer than the length bound are never built, so a huge
+    n costs no more than a small one."""
+
+    def test_length_and_equal(self):
+        params = GroupParams(10 ** 9)
+        config = OracleConfig(slack=4)
+        assert oracle_geodesic_length(P("abaB"), config, params) == 2
+        assert oracle_equal(P("aba"), P("bab"), config, params)
+        assert oracle_equal_verdict(P("bc"), P("cb"), config, params) \
+            == (False, "search-exhausted")
+
+    def test_moves_and_ball(self):
+        """Below its bc relator's length, n = 10**9 moves like n = 9."""
+        huge, small = GroupParams(10 ** 9), GroupParams(9)
+        config = OracleConfig(slack=2)
+        for word in ("", "bcbcb", "abacbC", "bcbcbc"):
+            w = P(word)
+            assert relator_moves(w, huge) == relator_moves(w, small)
+            assert ball(w, config, huge) == ball(w, config, small)
