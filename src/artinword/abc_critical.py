@@ -20,8 +20,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import GroupParams, Word, is_freely_reduced, power_word
-from .dihedral import BabForm, tau_2gen, to_bab_form
-from .p2g import P2GSuffixScanner, P2GWitness, decompose_p2g, is_p2g_critical
+from .dihedral import BabForm, tau_2gen, tau_last_letter, to_bab_form
+# decompose_p2g stays imported, though unused here, because
+# benchmark/tracing.py wraps it at this name
+from .p2g import (P2GSuffixScanner, P2GWitness, decompose_p2g,
+                  is_p2g_critical, outer_blocks)
 
 _A_LETTER = 0
 _B_LETTER = 1
@@ -75,8 +78,8 @@ def _ur_candidates(w: Word, end: int, params: GroupParams, meter=None,
       hat letter of the other sign would push p + n to at least 4.
 
     A live scanner also means the decomposition exists with one-signed
-    outer c-blocks, so only starts whose hat has p + n = 3 reach
-    decompose_p2g and to_bab_form.
+    outer c-blocks, so each start whose hat has p + n = 3 takes its
+    outer blocks as they are and goes on to to_bab_form.
     """
     out: list[tuple[int, P2GWitness, BabForm]] = []
     if end == 0 or w[end - 1] % 3 != _A_LETTER:
@@ -102,7 +105,8 @@ def _ur_candidates(w: Word, end: int, params: GroupParams, meter=None,
         if b_count > 1 and hat.neg_count in (0, hat.count):
             break
         if name == _A_LETTER:
-            d = decompose_p2g(w[r0:end], "ab", params)
+            u = w[r0:end]
+            d = P2GWitness(u, "ab", *outer_blocks(u, "ab"))
             bab = to_bab_form(d.hat, params)
             if bab is not None:
                 out.append((r0, d, bab))
@@ -145,11 +149,8 @@ def _witness_at(w: Word, r0: int, d: P2GWitness, bab: BabForm,
     sw = is_p2g_critical(u_sharp, "bc", params)
     if sw is None:
         return None
-    th = tau_2gen(sw.hat_witness, params)
-    last = th[-1]
-    if last % 3 != _C_LETTER:
-        raise AssertionError("tau(hat(u_sharp)) must end with a name-c letter")
-    eps = 1 if last < 3 else -1
+    # hat(u_sharp) ends in b, so tau of it ends in a name-c letter
+    eps = 1 if tau_last_letter(sw.hat_witness) < 3 else -1
     return AbcWitness(
         word=w,
         p_end=p_end,

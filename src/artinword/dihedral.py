@@ -25,9 +25,7 @@ from .core import (
     Word,
     inverse_letter,
     make_alternating,
-    make_letter,
     name_char,
-    sign,
 )
 
 
@@ -98,7 +96,13 @@ def is_critical_2gen(w: Word, pair: str, params: GroupParams,
     Unreduced or empty words are never critical; letters outside the
     pair raise ValueError.  Linear time.
     """
-    scan = _scan(w, pair, params)
+    return scanner_witness(_scan(w, pair, params), w, pair)
+
+
+def scanner_witness(scan: CriticalSuffixScanner, w: Word, pair: str,
+                    ) -> Optional[TwoGenCriticalWitness]:
+    """The witness of w, the whole word scan was fed right to left, or
+    None when its last feed was not critical."""
     shape = scan.shape
     if shape is None:
         return None
@@ -116,23 +120,22 @@ def is_critical_2gen(w: Word, pair: str, params: GroupParams,
     return TwoGenCriticalWitness(w, pair, shape, pr, lead, trail)
 
 
+def _partner(pair: str, letter: Letter) -> Letter:
+    """The letter of the pair's other name, with the sign of letter."""
+    other = ord(pair[0]) + ord(pair[1]) - 194 - letter % 3
+    return other if letter < 3 else other + 3
+
+
 def delta(letter: Letter, pair: str, params: GroupParams) -> Letter:
     """Conjugation by the Garside element of <pair>: the identity for even
     m, otherwise the name swap within the pair (signs preserved)."""
     if name_char(letter) not in pair:
         raise ValueError(f"letter {name_char(letter)!r} outside pair {pair}")
-    if params.m(pair) % 2 == 0:
-        return letter
-    other = pair[1] if pair[0] == name_char(letter) else pair[0]
-    return make_letter(other, sign(letter))
+    return letter if params.m(pair) % 2 == 0 else _partner(pair, letter)
 
 
 def delta_word(w: Word, pair: str, params: GroupParams) -> Word:
     return tuple(delta(l, pair, params) for l in w)
-
-
-def _other_name(pair: str, letter: Letter) -> str:
-    return pair[1] if pair[0] == name_char(letter) else pair[0]
 
 
 def tau_2gen(witness: TwoGenCriticalWitness, params: GroupParams) -> Word:
@@ -146,38 +149,46 @@ def tau_2gen(witness: TwoGenCriticalWitness, params: GroupParams) -> Word:
     if shape in (POSITIVE_LEFT, NEGATIVE_LEFT):
         x = w[0]
         if not xi:
-            y = make_letter(_other_name(pair, x), sign(x))
-            return make_alternating(y, x, m, "start")
+            return make_alternating(_partner(pair, x), x, m, "start")
         z = xi[-1]
-        t = make_letter(_other_name(pair, z), sign(z))
-        return dxi + make_alternating(z, t, m, "end")
+        return dxi + make_alternating(z, _partner(pair, z), m, "end")
 
     if shape in (POSITIVE_RIGHT, NEGATIVE_RIGHT):
         z = xi[0]
-        t = make_letter(_other_name(pair, z), sign(z))
-        return make_alternating(t, z, m, "start") + dxi
+        return make_alternating(_partner(pair, z), z, m, "start") + dxi
 
     if shape == UNSIGNED_POS_NEG:
         x = w[0]
-        y = make_letter(_other_name(pair, x), 1)
+        y = _partner(pair, x)
         t = inverse_letter(w[-1])
-        z = make_letter(_other_name(pair, t), 1)
         head = make_alternating(inverse_letter(y), inverse_letter(x),
                                 witness.profile.n, "start")
-        tail = make_alternating(t, z, witness.profile.p, "end")
+        tail = make_alternating(t, _partner(pair, t), witness.profile.p,
+                                "end")
         return head + dxi + tail
 
     if shape == UNSIGNED_NEG_POS:
         x = inverse_letter(w[0])
-        y = make_letter(_other_name(pair, x), 1)
         t = w[-1]
-        z = make_letter(_other_name(pair, t), 1)
-        head = make_alternating(y, x, witness.profile.p, "start")
+        z = _partner(pair, t)
+        head = make_alternating(_partner(pair, x), x, witness.profile.p,
+                                "start")
         tail = make_alternating(inverse_letter(t), inverse_letter(z),
                                 witness.profile.n, "end")
         return head + dxi + tail
 
     raise AssertionError(f"unknown witness shape {shape}")
+
+
+def tau_last_letter(witness: TwoGenCriticalWitness) -> Letter:
+    """The last letter of tau_2gen(witness), read off without building
+    tau: the pair's other name from the word's last letter, with that
+    letter's sign for the four signed shapes and the opposite sign for
+    the two unsigned ones."""
+    last = witness.word[-1]
+    if witness.shape in (UNSIGNED_POS_NEG, UNSIGNED_NEG_POS):
+        last = inverse_letter(last)
+    return _partner(witness.pair, last)
 
 
 class BabForm(NamedTuple):
@@ -301,6 +312,11 @@ def to_bab_form(v: Word, params: GroupParams) -> Optional[BabForm]:
     return BabForm(i, j, k)
 
 
+# the letter names of each generator pair
+_PAIR_NAMES = {pair: frozenset((ord(pair[0]) - 97, ord(pair[1]) - 97))
+               for pair in ("ab", "ac", "bc")}
+
+
 class CriticalSuffixScanner:
     """Incremental criticality test for the suffixes of a fixed word: the
     one place that computes alternation runs and decides criticality.
@@ -321,7 +337,7 @@ class CriticalSuffixScanner:
 
     def __init__(self, pair: str, params: GroupParams):
         self.m = params.m(pair)
-        self.allowed = {ord(pair[0]) - 97, ord(pair[1]) - 97}
+        self.allowed = _PAIR_NAMES[pair]
         self.count = 0
         self.dead = False
         self.critical = False

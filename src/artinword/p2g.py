@@ -15,27 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (
-    GroupParams,
-    Letter,
-    Word,
-    is_freely_reduced,
-    make_letter,
-    power_word,
-)
+from .core import GroupParams, Letter, Word, make_letter, power_word
+# is_critical_2gen stays imported, though unused here, because
+# benchmark/tracing.py wraps it at this name
 from .dihedral import (
     CriticalSuffixScanner,
     TwoGenCriticalWitness,
     is_critical_2gen,
+    scanner_witness,
     tau_2gen,
 )
 
 P2G_TYPES = ("ab", "bc")
-
-
-def pseudo_x(pair: str) -> str:
-    """The non-b pseudo-generator of the pair."""
-    return "a" if pair == "ab" else "c"
+# (x, z) name indices of each pair: its non-b name and the commuting one
+_XZ = {"ab": (0, 2), "bc": (2, 0)}
 
 
 def commuting_z(pair: str) -> str:
@@ -67,6 +60,39 @@ class P2GWitness:
         return self.word[self.s_start:]
 
 
+def _check_type(pair: str) -> None:
+    if pair not in P2G_TYPES:
+        raise ValueError(f"P2G type must be one of {P2G_TYPES}, got {pair!r}")
+
+
+def outer_blocks(w: Word, pair: str) -> tuple[int, int, int, int, Word]:
+    """(p_end, s_start, alpha, beta, hat) of the maximal outer blocks of
+    w, a nonempty word whose middle w[p_end:s_start] holds no z-letter.
+
+    u_p = w[:p_end] is the leading run of names {x, z} when w starts with
+    name x, else of name b, and stops short of w's last letter; u_s is the
+    like run at the right end, within w[p_end:].
+    """
+    x_idx, z_idx = _XZ[pair]
+    last = len(w) - 1
+    keep = (x_idx, z_idx) if w[0] % 3 == x_idx else (1,)
+    p_end = 0
+    while p_end < last and w[p_end] % 3 in keep:
+        p_end += 1
+    keep = (x_idx, z_idx) if w[last] % 3 == x_idx else (1,)
+    s_start = last + 1
+    while s_start > p_end and w[s_start - 1] % 3 in keep:
+        s_start -= 1
+    z, z_inv = z_idx, z_idx + 3
+    if z not in w and z_inv not in w:
+        return p_end, s_start, 0, 0, w
+    u_p, u_s = w[:p_end], w[s_start:]
+    hat = (tuple(l for l in u_p if l % 3 != z_idx) + w[p_end:s_start]
+           + tuple(l for l in u_s if l % 3 != z_idx))
+    return (p_end, s_start, u_p.count(z) - u_p.count(z_inv),
+            u_s.count(z) - u_s.count(z_inv), hat)
+
+
 def decompose_p2g(w: Word, pair: str, params: GroupParams,
                   ) -> Optional[P2GWitness]:
     """Structural P2G decomposition with maximal outer blocks, or None.
@@ -74,71 +100,36 @@ def decompose_p2g(w: Word, pair: str, params: GroupParams,
     The split is a convention (hat, alpha and beta do not depend on it);
     criticality is not checked here.
     """
-    if pair not in P2G_TYPES:
-        raise ValueError(f"P2G type must be one of {P2G_TYPES}, got {pair!r}")
+    _check_type(pair)
     if not w:
         return None
-    x_idx = ord(pseudo_x(pair)) - 97
-    z_idx = ord(commuting_z(pair)) - 97
-    b_idx = 1
-    first, last = w[0] % 3, w[-1] % 3
-    if first == z_idx or last == z_idx:
+    z_idx = _XZ[pair][1]
+    if w[0] % 3 == z_idx or w[-1] % 3 == z_idx:
         return None
-
-    def block_len(seq_start: int, seq_end: int, step: int, lead_name: int) -> int:
-        # length of maximal run with names in {x,z} (lead_name == x_idx)
-        # or the b-run (lead_name == b); scans w[seq_start:seq_end] by step
-        ok = ({x_idx, z_idx} if lead_name == x_idx else {b_idx})
-        k = 0
-        i = seq_start
-        while (i != seq_end) and (w[i] % 3 in ok):
-            k += 1
-            i += step
-        return k
-
-    p_len = block_len(0, len(w), 1, first)
-    p_end = min(p_len, len(w) - 1)
-    s_len = block_len(len(w) - 1, p_end - 1, -1, last)
-    s_start = len(w) - s_len
-    mid = w[p_end:s_start]
-    for l in mid:
-        if l % 3 == z_idx:
-            return None
-    if mid:
-        if mid[0] % 3 == first or mid[-1] % 3 == last:
-            return None
-    alpha = sum(1 if l < 3 else -1 for l in w[:p_end] if l % 3 == z_idx)
-    beta = sum(1 if l < 3 else -1 for l in w[s_start:] if l % 3 == z_idx)
-    hat = tuple(l for l in w if l % 3 != z_idx)
-    return P2GWitness(w, pair, p_end, s_start, alpha, beta, hat)
-
-
-def _z_signs_uniform(w: Word, z_idx: int) -> bool:
-    signs = {l < 3 for l in w if l % 3 == z_idx}
-    return len(signs) <= 1
+    blocks = outer_blocks(w, pair)
+    mid = w[blocks[0]:blocks[1]]
+    if z_idx in mid or z_idx + 3 in mid:
+        return None
+    return P2GWitness(w, pair, *blocks)
 
 
 def is_p2g_critical(w: Word, pair: str, params: GroupParams,
                     ) -> Optional[P2GWitness]:
-    """Witness iff w is a P2G-critical word of the given type.
-
-    On top of the structural decomposition this requires the z-letters of
-    each outer block to carry a single sign (otherwise tau would not
-    preserve length) and the hat word to be 2-generator critical.
-    """
-    if not is_freely_reduced(w):
+    """Witness iff w is a P2G-critical word of the given type: one
+    P2GSuffixScanner fed w right to left decides, and its hat scanner's
+    end state gives the hat's witness."""
+    _check_type(pair)
+    scan = P2GSuffixScanner(pair, params)
+    feed = scan.feed
+    for l in reversed(w):
+        feed(l)
+        if scan.dead:
+            return None
+    if not scan.critical:
         return None
-    d = decompose_p2g(w, pair, params)
-    if d is None:
-        return None
-    z_idx = ord(commuting_z(pair)) - 97
-    if not _z_signs_uniform(d.u_p, z_idx) or not _z_signs_uniform(d.u_s, z_idx):
-        return None
-    hw = is_critical_2gen(d.hat, pair, params)
-    if hw is None:
-        return None
-    return P2GWitness(w, pair, d.p_end, d.s_start, d.alpha, d.beta,
-                      d.hat, hw)
+    blocks = outer_blocks(w, pair)
+    return P2GWitness(w, pair, *blocks,
+                      scanner_witness(scan.inner, blocks[4], pair))
 
 
 def tau_p2g(witness: P2GWitness, params: GroupParams) -> Word:
@@ -161,18 +152,16 @@ class P2GSuffixScanner:
     the hat subsequence.
     """
 
-    __slots__ = ("x_idx", "z_idx", "inner", "count", "dead", "critical",
-                 "prev", "in_tail", "tail_is_xz", "tail_z_sign", "run_z",
+    __slots__ = ("x_idx", "z_idx", "inner", "dead", "critical", "prev",
+                 "in_tail", "tail_is_xz", "tail_z_sign", "run_z",
                  "run_z_sign")
 
     def __init__(self, pair: str, params: GroupParams):
-        self.x_idx = ord(pseudo_x(pair)) - 97
-        self.z_idx = ord(commuting_z(pair)) - 97
+        self.x_idx, self.z_idx = _XZ[pair]
         self.inner = CriticalSuffixScanner(pair, params)
-        self.count = 0
         self.dead = False
         self.critical = False
-        self.prev = -1
+        self.prev = -1            # -1 until the first feed
         self.in_tail = True
         self.tail_is_xz = False
         self.tail_z_sign = 0
@@ -188,16 +177,12 @@ class P2GSuffixScanner:
         if self.prev == (l + 3) % 6:
             self.dead = True
             return
-        if self.count == 0:
+        if self.prev == -1:
             if name == z_idx:
                 self.dead = True    # l(u) must be a pseudo-generator
                 return
             self.tail_is_xz = name == self.x_idx
-        if self.in_tail:
-            in_set = (name != 1) if self.tail_is_xz else (name == 1)
-            if not in_set:
-                self.in_tail = False
-        if self.in_tail:
+        if self.in_tail and (name == 1) != self.tail_is_xz:
             if name == z_idx:
                 sgn = 1 if l < 3 else -1
                 if self.tail_z_sign == 0:
@@ -206,6 +191,7 @@ class P2GSuffixScanner:
                     self.dead = True
                     return
         else:
+            self.in_tail = False
             if name == 1:
                 if self.run_z:
                     self.dead = True    # stranded z between two b-letters
@@ -226,7 +212,6 @@ class P2GSuffixScanner:
                 return
             self.critical = inner.critical
         self.prev = l
-        self.count += 1
 
 
 def shortest_p2g_critical_suffix(w: Word, pair: str, params: GroupParams,

@@ -28,7 +28,7 @@ from .core import (
     make_letter,
     power_word,
 )
-from .dihedral import tau_2gen
+from .dihedral import tau_last_letter
 from .p2g import (
     P2GWitness,
     commuting_z,
@@ -119,12 +119,6 @@ def critical_witness(word: Word, ctype: str, params: GroupParams,
     raise ValueError(f"unknown criticality type {ctype!r}")
 
 
-def tau_of(ctype: str, witness: Witness, params: GroupParams) -> Word:
-    if ctype == ABC:
-        return tau_abc(witness, params)
-    return tau_p2g(witness, params)
-
-
 def chain_head(ctype: str, witness: Witness, params: GroupParams) -> Word:
     """The prefix of u_{i+1} contributed by tau(u_i).
 
@@ -135,9 +129,9 @@ def chain_head(ctype: str, witness: Witness, params: GroupParams) -> Word:
         return (power_word(2, witness.epsilon)
                 + power_word(1, witness.bab.k)
                 + power_word(2, witness.beta))
-    tau_hat = tau_2gen(witness.hat_witness, params)
     z = make_letter(commuting_z(witness.pair), 1)
-    return (tau_hat[-1],) + power_word(z, witness.beta)
+    return ((tau_last_letter(witness.hat_witness),)
+            + power_word(z, witness.beta))
 
 
 def check_rrs(host: Word, cuts: tuple[int, ...], types: tuple[str, ...],
@@ -232,7 +226,8 @@ def apply_rrs(rrs: Rrs, params: GroupParams, want_trace: bool = False,
     step = 0
     for i in range(m):
         ctype, u_word, wit = rrs.us[i]
-        tau = tau_of(ctype, wit, params)
+        tau = (tau_abc(wit, params) if ctype == ABC
+               else tau_p2g(wit, params))
         if want_trace:
             if ctype == ABC:
                 kind = "tau_abc"

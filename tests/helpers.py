@@ -318,6 +318,89 @@ def p2g_critical_reference(w: Word, pair: str, params: GroupParams) -> bool:
     return critical_2gen_reference(d.hat, pair, params) is not None
 
 
+# The P2G decomposition and criticality check as two separate passes:
+# the structural split, a z-sign pass per outer block and a whole-word
+# 2-generator check of the hat.  p2g.is_p2g_critical does all of this in
+# one scanner pass; these are the reference it is tested against.
+
+def decompose_p2g_reference(w: Word, pair: str, params: GroupParams):
+    """Structural P2G decomposition with maximal outer blocks, or None.
+
+    The split is a convention (hat, alpha and beta do not depend on it);
+    criticality is not checked here.
+    """
+    from artinword.p2g import P2G_TYPES, P2GWitness, commuting_z
+
+    if pair not in P2G_TYPES:
+        raise ValueError(f"P2G type must be one of {P2G_TYPES}, got {pair!r}")
+    if not w:
+        return None
+    x_idx = ord("a" if pair == "ab" else "c") - 97
+    z_idx = ord(commuting_z(pair)) - 97
+    b_idx = 1
+    first, last = w[0] % 3, w[-1] % 3
+    if first == z_idx or last == z_idx:
+        return None
+
+    def block_len(seq_start: int, seq_end: int, step: int, lead_name: int) -> int:
+        # length of maximal run with names in {x,z} (lead_name == x_idx)
+        # or the b-run (lead_name == b); scans w[seq_start:seq_end] by step
+        ok = ({x_idx, z_idx} if lead_name == x_idx else {b_idx})
+        k = 0
+        i = seq_start
+        while (i != seq_end) and (w[i] % 3 in ok):
+            k += 1
+            i += step
+        return k
+
+    p_len = block_len(0, len(w), 1, first)
+    p_end = min(p_len, len(w) - 1)
+    s_len = block_len(len(w) - 1, p_end - 1, -1, last)
+    s_start = len(w) - s_len
+    mid = w[p_end:s_start]
+    for l in mid:
+        if l % 3 == z_idx:
+            return None
+    if mid:
+        if mid[0] % 3 == first or mid[-1] % 3 == last:
+            return None
+    alpha = sum(1 if l < 3 else -1 for l in w[:p_end] if l % 3 == z_idx)
+    beta = sum(1 if l < 3 else -1 for l in w[s_start:] if l % 3 == z_idx)
+    hat = tuple(l for l in w if l % 3 != z_idx)
+    return P2GWitness(w, pair, p_end, s_start, alpha, beta, hat)
+
+
+def _z_signs_uniform(w: Word, z_idx: int) -> bool:
+    signs = {l < 3 for l in w if l % 3 == z_idx}
+    return len(signs) <= 1
+
+
+def p2g_witness_reference(w: Word, pair: str, params: GroupParams):
+    """Witness iff w is a P2G-critical word of the given type.
+
+    On top of the structural decomposition this requires the z-letters of
+    each outer block to carry a single sign (otherwise tau would not
+    preserve length) and the hat word to be 2-generator critical.
+    """
+    from artinword.core import is_freely_reduced
+    from artinword.dihedral import is_critical_2gen
+    from artinword.p2g import P2GWitness, commuting_z
+
+    if not is_freely_reduced(w):
+        return None
+    d = decompose_p2g_reference(w, pair, params)
+    if d is None:
+        return None
+    z_idx = ord(commuting_z(pair)) - 97
+    if not _z_signs_uniform(d.u_p, z_idx) or not _z_signs_uniform(d.u_s, z_idx):
+        return None
+    hw = is_critical_2gen(d.hat, pair, params)
+    if hw is None:
+        return None
+    return P2GWitness(w, pair, d.p_end, d.s_start, d.alpha, d.beta,
+                      d.hat, hw)
+
+
 def relator_words(n: int) -> list[Word]:
     """Every cyclic conjugate of the relators of G(n) and their inverses."""
     rels = [(0, 1, 0, 4, 3, 4), (0, 2, 3, 5),

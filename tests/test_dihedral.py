@@ -11,6 +11,7 @@ from artinword.dihedral import (
     is_geodesic_2gen,
     shortest_critical_suffix_2gen,
     tau_2gen,
+    tau_last_letter,
     to_bab_form,
 )
 from artinword.oracle import OracleConfig, oracle_geodesic_length
@@ -138,6 +139,20 @@ class TestTau2Gen:
             assert tau_2gen(wit2, params) == u, F(u)
             count += 1
         assert count > 50
+
+    @pytest.mark.parametrize("pair,n", [("ab", 5), ("bc", 5), ("bc", 6),
+                                        ("bc", 7), ("bc", 8), ("ac", 5)])
+    def test_last_letter_rule(self, pair, n):
+        """tau's last letter by rule, on every critical word of up to m + 2
+        letters; all six shapes occur."""
+        from artinword.core import GroupParams
+        params = GroupParams(n)
+        shapes = set()
+        for wit in _criticals(pair, params, params.m(pair) + 2):
+            assert tau_last_letter(wit) == tau_2gen(wit, params)[-1], \
+                F(wit.word)
+            shapes.add(wit.shape)
+        assert len(shapes) == 6
 
 
 class TestToBabForm:

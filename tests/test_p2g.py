@@ -1,7 +1,10 @@
 import random
 
-from artinword.core import format_word, parse_word
-from artinword.dihedral import tau_2gen
+import pytest
+
+from artinword.core import (GroupParams, format_word, is_freely_reduced,
+                            parse_word)
+from artinword.dihedral import shortest_critical_suffix_2gen, tau_2gen
 from artinword.p2g import (
     P2GSuffixScanner,
     commuting_z,
@@ -11,12 +14,37 @@ from artinword.p2g import (
     tau_p2g,
 )
 
-from helpers import (PairRep, critical_2gen_reference, p2g_critical_reference,
-                     pair_letters, profile, random_reduced_word,
-                     reduced_words)
+from helpers import (PairRep, critical_2gen_reference, decompose_p2g_reference,
+                     decorate_with_z, p2g_critical_reference,
+                     p2g_witness_reference, pair_letters, profile,
+                     random_reduced_word, reduced_words)
 
 P = parse_word
 F = format_word
+
+
+def _seeded_words(rng, pair, params, count):
+    """count words per alphabet (all six letters, the pair's letters, and
+    those plus z), each freely reduced or raw with even odds, the empty
+    word among them.  After a freely reduced word over the pair come its
+    shortest critical suffix, if any, and that suffix with z-powers put
+    into its outer blocks."""
+    z = ord(commuting_z(pair)) - 97
+    two_gen = pair_letters(pair)
+    for letters in (tuple(range(6)), two_gen, two_gen + (z, z + 3)):
+        yield ()
+        for _ in range(count):
+            length = rng.randint(1, 16)
+            if rng.random() < 0.5:
+                w = random_reduced_word(rng, length, letters)
+            else:
+                w = tuple(rng.choice(letters) for _ in range(length))
+            yield w
+            if letters is two_gen and is_freely_reduced(w):
+                s = shortest_critical_suffix_2gen(w, pair, params)
+                if s is not None:
+                    yield w[s:]
+                    yield decorate_with_z(rng, w[s:], pair, params)
 
 
 class TestDecompose:
@@ -48,6 +76,16 @@ class TestDecompose:
                 if d is not None:
                     assert d.u_p + d.u_q + d.u_s == w
 
+    def test_matches_reference(self, params5, params6):
+        """The outer-block split equals the reference decomposition."""
+        rng = random.Random(17)
+        for params in (params5, params6):
+            for pair in ("ab", "bc"):
+                for w in _seeded_words(rng, pair, params, 400):
+                    assert (decompose_p2g(w, pair, params)
+                            == decompose_p2g_reference(w, pair, params)), \
+                        (F(w), pair)
+
 
 class TestCriticality:
     def test_example(self, params5):
@@ -76,6 +114,27 @@ class TestCriticality:
                 assert (wit2 is None) == (witp is None), F(w)
                 if wit2 is not None:
                     assert tau_p2g(witp, params) == tau_2gen(wit2, params)
+
+    @pytest.mark.parametrize("n", (5, 6, 7, 8))
+    def test_witness_matches_reference(self, n):
+        """The one-pass check gives the two-pass reference's witness, field
+        by field, on seeded words of both pairs."""
+        params = GroupParams(n)
+        rng = random.Random(500 + n)
+        found = decorated = 0
+        for pair in ("ab", "bc"):
+            for w in _seeded_words(rng, pair, params, 500):
+                want = p2g_witness_reference(w, pair, params)
+                assert is_p2g_critical(w, pair, params) == want, (F(w), pair)
+                if want is not None:
+                    found += 1
+                    decorated += want.word != want.hat
+        assert found > 300 and decorated > 50
+
+    def test_bad_pair(self, params5):
+        for w in ((), P("ab"), P("aA")):
+            with pytest.raises(ValueError):
+                is_p2g_critical(w, "ac", params5)
 
 
 class TestTauP2G:

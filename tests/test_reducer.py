@@ -258,17 +258,19 @@ class TestFreelyReduced:
 
 
 def metamorphic_lengths(w, params):
-    """Reduced lengths of w, w^-1, w reversed and w with each letter
-    inverted in place; each map preserves the relators, so geodesic
-    length is invariant under all of them."""
+    """Reduced lengths of w, w^-1, w reversed, w with each letter
+    inverted in place, and the free reduction of w.  The first three maps
+    preserve the relators and free reduction keeps the element, so
+    geodesic length is invariant under all of them."""
     images = (w, invert_word(w), w[::-1],
-              tuple(inverse_letter(l) for l in w))
+              tuple(inverse_letter(l) for l in w), free_reduce(w))
     return [len(reduce_to_geodesic(v, params)[0]) for v in images]
 
 
 class TestMetamorphic:
     @pytest.mark.parametrize("n", (6, 7, 8))
     def test_lengths_agree(self, n):
+        """The images agree, and a reduced word reduces to itself."""
         rng = random.Random(7919 + n)
         params = GroupParams(n)
         for length in (13, 50, 150, 300, 450):
@@ -276,6 +278,8 @@ class TestMetamorphic:
                 w = random_raw_word(rng, length)
                 lengths = metamorphic_lengths(w, params)
                 assert len(set(lengths)) == 1, (n, F(w), lengths)
+                out = reduce_to_geodesic(w, params)[0]
+                assert reduce_to_geodesic(out, params)[0] == out, (n, F(w))
 
 
 # n=5 words shrunk from raw random words, with their BFS geodesic lengths
@@ -331,6 +335,21 @@ class TestN5Fixtures:
     @pytest.mark.parametrize("word", [w for w, _ in N5_FIXTURES[:3]])
     def test_metamorphic(self, params5, word):
         assert len(set(metamorphic_lengths(P(word), params5))) == 1
+
+    @pytest.mark.parametrize("word", [
+        pytest.param("cbcbabcBCBACcCBbcba", marks=pytest.mark.xfail(
+            strict=True, reason=(
+                "reduces to 13 letters, but its free reduction to 11"))),
+        pytest.param("CBACBcbabcbaBBCBcaAb", marks=pytest.mark.xfail(
+            strict=True, reason=(
+                "reduces to 14 letters, and to 12 when reduced again")))])
+    def test_stable(self, params5, word):
+        """Reducing the free reduction of a word gives a word as long, and
+        reducing the result again changes nothing."""
+        w = P(word)
+        out = reduce_to_geodesic(w, params5)[0]
+        assert len(reduce_to_geodesic(free_reduce(w), params5)[0]) == len(out)
+        assert reduce_to_geodesic(out, params5)[0] == out
 
 
 def count_critical_witness(monkeypatch):

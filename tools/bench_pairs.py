@@ -12,7 +12,8 @@ with the base first on even i and the change first on odd i.  Then each
 side runs one `--trace 1` round per workload on seed 1.  Every run's
 result line is kept as printed; the file also holds, per workload and
 end-to-end metric, each side's median and quartiles and the number of
-pairs the change won.
+pairs the change won, and per workload both sides' traced per-layer
+counts (every traced metric not measured in seconds).
 """
 
 from __future__ import annotations
@@ -71,6 +72,14 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
                 row[side] = {"median": statistics.median(vals),
                              "q1": q1, "q3": q3}
             rows[name] = row
+        traced = {r["side"]: r["result"]["metrics"] for r in runs
+                  if r["workload"] == workload and r["trace"] == 1}
+        if traced:
+            rows["traced_counts"] = {
+                name: {side: traced[side][name]["value"]
+                       for side in ("base", "change")}
+                for name, metric in traced["base"].items()
+                if metric["unit"] != "s"}
         out[workload] = rows
     return out
 
