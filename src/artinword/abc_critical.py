@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import GroupParams, Word, is_freely_reduced, power_word
+from .core import GroupParams, Word, power_word
 from .dihedral import BabForm, tau_2gen, tau_last_letter, to_bab_form
-# decompose_p2g stays imported, though unused here, because
-# benchmark/tracing.py wraps it at this name
+# decompose_p2g and is_p2g_critical stay imported, though unused here,
+# because benchmark/tracing.py wraps them at these names
 from .p2g import (P2GSuffixScanner, P2GWitness, decompose_p2g,
-                  is_p2g_critical, outer_blocks)
+                  is_p2g_critical, outer_blocks, p2g_witness)
 
 _A_LETTER = 0
 _B_LETTER = 1
@@ -118,51 +118,48 @@ def _sharp_tail(d: P2GWitness, bab: BabForm) -> Word:
     return power_word(_C_LETTER, d.alpha) + power_word(_B_LETTER, bab.i)
 
 
-def _split_before(w: Word, r0: int) -> Optional[int]:
-    """p_end for the u_p | u_q split of w[:r0] (r0 > 0), or None if invalid.
+def _critical_suffixes(w: Word, end: int, params: GroupParams, meter=None):
+    """Yield (s, p_end, candidate, scan) for every s, right to left, at
+    which w[s:end] is critical of type {a,b,c}; within one s, candidates
+    come shortest first.
 
-    u_p is the maximal leading block: a b-power, or an {a,c}-word starting
-    with c; every name-a letter left of r0 must land inside u_p.
+    candidate is an (r0, u_r witness, bab) entry of _ur_candidates; scan,
+    its {b,c} P2GSuffixScanner, has been fed u_sharp = w[s:r0] c^alpha b^i
+    right to left and found it critical, one metered feed per letter of
+    w[s:r0].  u_p = w[s:p_end] is the b-run at s, or the non-b run when
+    w[s] has name c, and must hold every name-a letter left of r0: a_gate,
+    the first name-a position at or right of the b nearest s, is >= r0
+    exactly then.  No cap at r0 is needed, and the scans imply that w is
+    freely reduced: a b-run stops at w[r0], and a u_p that reaches r0
+    leaves u_sharp a hat c^x b^i, which no m >= 3 makes critical.
     """
-    first = w[0] % 3
-    if first == _A_LETTER:
-        return None
-    i = 0
-    if first == _B_LETTER:
-        while i < r0 and w[i] % 3 == _B_LETTER:
-            i += 1
-    else:
-        while i < r0 and w[i] % 3 != _B_LETTER:
-            i += 1
-    for j in range(i, r0):
-        if w[j] % 3 == _A_LETTER:
-            return None
-    return i
-
-
-def _witness_at(w: Word, r0: int, d: P2GWitness, bab: BabForm,
-                params: GroupParams) -> Optional[AbcWitness]:
-    p_end = _split_before(w, r0)
-    if p_end is None:
-        return None
-    u_sharp = w[:r0] + _sharp_tail(d, bab)
-    sw = is_p2g_critical(u_sharp, "bc", params)
-    if sw is None:
-        return None
-    # hat(u_sharp) ends in b, so tau of it ends in a name-c letter
-    eps = 1 if tau_last_letter(sw.hat_witness) < 3 else -1
-    return AbcWitness(
-        word=w,
-        p_end=p_end,
-        r_start=r0,
-        ur_witness=d,
-        bab=bab,
-        u_sharp=u_sharp,
-        sharp_witness=sw,
-        epsilon=eps,
-        alpha=sw.alpha,
-        beta=d.beta,
-    )
+    live = []
+    for cand in _ur_candidates(w, end, params, meter):
+        scan = P2GSuffixScanner("bc", params)
+        for l in reversed(_sharp_tail(cand[1], cand[2])):
+            scan.feed(l)
+        live.append((cand, scan))
+    next_a = next_b = next_nonb = a_gate = end
+    for s in range(end - 1, -1, -1):
+        live = [entry for entry in live if not entry[1].dead]
+        if not live:
+            return
+        l = w[s]
+        name = l % 3
+        if name == _B_LETTER:
+            p_end, next_b, a_gate = next_nonb, s, next_a
+        else:
+            p_end, next_nonb = next_b, s
+            if name == _A_LETTER:
+                next_a = s
+        for cand, scan in live:
+            if cand[0] <= s:
+                break
+            scan.feed(l)
+            if meter:
+                meter.add(1)
+            if name != _A_LETTER and a_gate >= cand[0] and scan.critical:
+                yield s, p_end, cand, scan
 
 
 def is_abc_critical(w: Word, params: GroupParams) -> Optional[AbcWitness]:
@@ -171,16 +168,15 @@ def is_abc_critical(w: Word, params: GroupParams) -> Optional[AbcWitness]:
     Candidate u_r suffixes are tried shortest first, which maximizes u_q
     and gives condition (iv) the most room; the first full witness wins.
     """
-    if not w or not is_freely_reduced(w):
-        return None
-    if w[-1] % 3 != _A_LETTER or w[0] % 3 == _A_LETTER:
-        return None
-    for r0, d, bab in _ur_candidates(w, len(w), params):
-        if r0 == 0:
+    for s, p_end, (r0, d, bab), scan in _critical_suffixes(w, len(w), params):
+        if s:
             continue
-        witness = _witness_at(w, r0, d, bab, params)
-        if witness is not None:
-            return witness
+        u_sharp = w[:r0] + _sharp_tail(d, bab)
+        sw = p2g_witness(scan, u_sharp, "bc")
+        # hat(u_sharp) ends in b, so tau of it ends in a name-c letter
+        eps = 1 if tau_last_letter(sw.hat_witness) < 3 else -1
+        return AbcWitness(w, p_end, r0, d, bab, u_sharp, sw, eps, sw.alpha,
+                          d.beta)
     return None
 
 
@@ -199,57 +195,6 @@ def shortest_abc_critical_suffix(w: Word, params: GroupParams,
                                  end: Optional[int] = None,
                                  meter=None) -> Optional[int]:
     """Start index of the shortest {a,b,c}-critical suffix of w[:end]."""
-    if end is None:
-        end = len(w)
-    if end == 0 or w[end - 1] % 3 != _A_LETTER:
-        return None
-    candidates = _ur_candidates(w, end, params, meter)
-    if not candidates:
-        return None
-    # one incremental {b,c}-criticality scanner per candidate u_r, over the
-    # virtual word  w[:r0] + c^alpha b^i ; entries are [r0, scanner, cursor]
-    cursors = []
-    for r0, d, bab in candidates:
-        scan = P2GSuffixScanner("bc", params)
-        for l in reversed(_sharp_tail(d, bab)):
-            scan.feed(l)
-        cursors.append([r0, scan, r0])
-    a_below = {entry[0]: -1 for entry in cursors}  # largest a-name pos < r0
-    run_nonb = 0
-    for s in range(end - 1, -1, -1):
-        name = w[s] % 3
-        run_nonb = run_nonb + 1 if name != _B_LETTER else 0
-        if name == _A_LETTER:
-            for r0 in a_below:
-                if s < r0 and a_below[r0] == -1:
-                    a_below[r0] = s
-            continue
-        alive = False
-        for entry in cursors:
-            r0, scan, cur = entry
-            if scan.dead:
-                continue
-            if r0 <= s:
-                alive = True
-                continue
-            while cur > s:
-                cur -= 1
-                scan.feed(w[cur])
-                if meter:
-                    meter.add(1)
-            entry[2] = cur
-            if scan.dead:
-                continue
-            alive = True
-            ab = a_below[r0]
-            if name == _B_LETTER:
-                if ab >= s:
-                    continue
-            else:
-                if ab >= min(s + run_nonb, r0):
-                    continue
-            if scan.critical:
-                return s
-        if not alive:
-            return None
-    return None
+    suffixes = _critical_suffixes(w, len(w) if end is None else end, params,
+                                  meter)
+    return next((s for s, *_ in suffixes), None)

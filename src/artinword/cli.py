@@ -16,6 +16,7 @@ import time
 from typing import Optional
 
 from .core import (
+    MAX_WORD_LETTERS,
     GroupParams,
     ParseError,
     ResourceLimitError,
@@ -33,6 +34,18 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _at_least(least: int):
+    """An argparse type: an int no smaller than least."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    parse.__name__ = "int"      # argparse names the type in its errors
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -65,19 +78,19 @@ def _build_parser() -> _Parser:
     sp.add_argument("word")
     sp = sub.add_parser("fuzz", parents=[common],
                         help="run the invariant suite on random words")
-    sp.add_argument("--count", type=int, default=100)
-    sp.add_argument("--max-len", type=int, default=10)
+    sp.add_argument("--count", type=_at_least(0), default=100)
+    sp.add_argument("--max-len", type=_at_least(0), default=10)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--slack", type=int, default=4)
+    sp.add_argument("--slack", type=_at_least(0), default=4)
     sp = sub.add_parser("bench", parents=[common],
                         help="time reductions and report complexity fits")
-    sp.add_argument("--len", type=int, default=1000, dest="length")
-    sp.add_argument("--repeat", type=int, default=3)
+    sp.add_argument("--len", type=_at_least(1), default=1000, dest="length")
+    sp.add_argument("--repeat", type=_at_least(1), default=3)
     sp.add_argument("--seed", type=int, default=0)
     sp = sub.add_parser("oracle-length", parents=[common],
                         help="print the brute-force BFS geodesic length")
     sp.add_argument("word")
-    sp.add_argument("--slack", type=int, default=4)
+    sp.add_argument("--slack", type=_at_least(0), default=4)
     return p
 
 
@@ -196,6 +209,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                          "violations": 0},
                   f"ok: {args.count} words, no violations")
         elif args.command == "bench":
+            if args.length > MAX_WORD_LETTERS:
+                raise ResourceLimitError(
+                    f"--len is over {MAX_WORD_LETTERS} letters")
             rng = random.Random(args.seed)
             times = []
             total_letters = 0

@@ -125,8 +125,11 @@ def is_p2g_critical(w: Word, pair: str, params: GroupParams,
         feed(l)
         if scan.dead:
             return None
-    if not scan.critical:
-        return None
+    return p2g_witness(scan, w, pair) if scan.critical else None
+
+
+def p2g_witness(scan: P2GSuffixScanner, w: Word, pair: str) -> P2GWitness:
+    """The witness of w, fed right to left to scan, which found it critical."""
     blocks = outer_blocks(w, pair)
     return P2GWitness(w, pair, *blocks,
                       scanner_witness(scan.inner, blocks[4], pair))

@@ -401,6 +401,80 @@ def p2g_witness_reference(w: Word, pair: str, params: GroupParams):
                       d.hat, hw)
 
 
+# Reference checker for the {a,b,c}-critical scan: the whole-word
+# definition, one candidate u_r at a time, with its own u_p | u_q split
+# and a separate P2G {b,c} check of each u_sharp.
+
+def _split_before(w: Word, r0: int):
+    """p_end for the u_p | u_q split of w[:r0] (r0 > 0), or None if invalid.
+
+    u_p is the maximal leading block: a b-power, or an {a,c}-word starting
+    with c; every name-a letter left of r0 must land inside u_p.
+    """
+    first = w[0] % 3
+    if first == 0:
+        return None
+    i = 0
+    if first == 1:
+        while i < r0 and w[i] % 3 == 1:
+            i += 1
+    else:
+        while i < r0 and w[i] % 3 != 1:
+            i += 1
+    for j in range(i, r0):
+        if w[j] % 3 == 0:
+            return None
+    return i
+
+
+def _witness_at(w: Word, r0: int, d, bab, params: GroupParams):
+    from artinword.abc_critical import AbcWitness, _sharp_tail
+    from artinword.dihedral import tau_last_letter
+
+    p_end = _split_before(w, r0)
+    if p_end is None:
+        return None
+    u_sharp = w[:r0] + _sharp_tail(d, bab)
+    sw = p2g_witness_reference(u_sharp, "bc", params)
+    if sw is None:
+        return None
+    # hat(u_sharp) ends in b, so tau of it ends in a name-c letter
+    eps = 1 if tau_last_letter(sw.hat_witness) < 3 else -1
+    return AbcWitness(
+        word=w,
+        p_end=p_end,
+        r_start=r0,
+        ur_witness=d,
+        bab=bab,
+        u_sharp=u_sharp,
+        sharp_witness=sw,
+        epsilon=eps,
+        alpha=sw.alpha,
+        beta=d.beta,
+    )
+
+
+def abc_witness_reference(w: Word, params: GroupParams):
+    """Witness iff w is critical of type {a,b,c}.
+
+    Candidate u_r suffixes are tried shortest first, which maximizes u_q
+    and gives condition (iv) the most room; the first full witness wins.
+    """
+    from artinword.core import is_freely_reduced
+
+    if not w or not is_freely_reduced(w):
+        return None
+    if w[-1] % 3 != 0 or w[0] % 3 == 0:
+        return None
+    for r0, d, bab in ur_candidates_reference(w, len(w), params):
+        if r0 == 0:
+            continue
+        witness = _witness_at(w, r0, d, bab, params)
+        if witness is not None:
+            return witness
+    return None
+
+
 def relator_words(n: int) -> list[Word]:
     """Every cyclic conjugate of the relators of G(n) and their inverses."""
     rels = [(0, 1, 0, 4, 3, 4), (0, 2, 3, 5),

@@ -1,4 +1,7 @@
+import itertools
 import random
+
+import pytest
 
 from artinword.abc_critical import (
     _ur_candidates,
@@ -6,13 +9,16 @@ from artinword.abc_critical import (
     shortest_abc_critical_suffix,
     tau_abc,
 )
-from artinword.core import GroupParams, format_word, parse_word
+from artinword.core import (GroupParams, format_word, make_alternating,
+                            parse_word)
 from artinword.oracle import OracleConfig, oracle_equal
 from artinword.reducer import reduce_to_geodesic
 from artinword.rrs import Meter
 
 from helpers import (
+    abc_witness_reference,
     random_abc_flavoured,
+    random_raw_word,
     random_reduced_word,
     ur_candidates_reference,
 )
@@ -43,6 +49,43 @@ class TestRecognition:
         assert wit is not None
         assert F(wit.u_sharp) == "cbcbcb"
         assert F(tau_abc(wit, params6)) == "bcbcbacb"
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_witness_matches_reference(self, n):
+        """Witnesses equal, field by field, on every suffix of seeded
+        words, reduced or not; at n=5 also on every word of up to six
+        letters."""
+        params = GroupParams(n)
+        rng = random.Random(50 + n)
+        words = []
+        for i in range(900):
+            if i % 3 == 0:
+                # a raw prefix, a one-signed {b,c}-alternation near n - 1
+                # letters, then a cut abc-flavoured word: many suffixes
+                # of these are critical
+                b, c = rng.choice(((1, 2), (4, 5)))
+                x, y = rng.choice(((b, c), (c, b)))
+                words.append(random_raw_word(rng, rng.randint(0, 4))
+                             + make_alternating(x, y, rng.randint(n - 3, n),
+                                                "end")
+                             + random_abc_flavoured(rng, params)
+                             [rng.randint(0, 4):])
+            elif i % 3 == 1:
+                words.append(random_reduced_word(rng, rng.randint(1, 24)))
+            else:
+                words.append(random_raw_word(rng, rng.randint(1, 16)))
+        found = 0
+        for w in words:
+            for s in range(len(w) + 1):
+                want = abc_witness_reference(w[s:], params)
+                assert is_abc_critical(w[s:], params) == want, (F(w), s)
+                found += want is not None
+        assert found > 40
+        if n == 5:
+            for length in range(7):
+                for w in itertools.product(range(6), repeat=length):
+                    assert (is_abc_critical(w, params)
+                            == abc_witness_reference(w, params)), F(w)
 
 
 class TestTauAbc:
@@ -101,7 +144,7 @@ class TestShortestSuffix:
                 got = shortest_abc_critical_suffix(w, params)
                 want = None
                 for s in range(len(w) - 1, -1, -1):
-                    if is_abc_critical(w[s:], params):
+                    if abc_witness_reference(w[s:], params):
                         want = s
                         break
                 assert got == want, (F(w), params.n)

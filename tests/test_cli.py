@@ -103,3 +103,20 @@ class TestExitCodes:
             r = run_cli("reduce", text)
             assert r.returncode == 3, text
             assert "resource limit" in r.stderr
+
+    def test_bad_counts(self):
+        """Counts out of range are usage errors, not tracebacks or a
+        silent success."""
+        for args in (("bench", "--len", "0"), ("bench", "--len", "-3"),
+                     ("bench", "--repeat", "0"), ("fuzz", "--count", "-1"),
+                     ("fuzz", "--max-len", "-1"), ("fuzz", "--slack", "-1"),
+                     ("oracle-length", "abc", "--slack", "-1")):
+            r = run_cli(*args)
+            assert r.returncode == 1, args
+            assert "Traceback" not in r.stderr, args
+            assert "must be at least" in r.stderr, args
+
+    def test_bench_length_limit(self):
+        r = run_cli("bench", "--len", str(10 ** 6 + 1))
+        assert r.returncode == 3
+        assert "resource limit" in r.stderr

@@ -9,11 +9,14 @@ The workloads, the run length and the end-to-end metrics come from
 BENCHMARK.json.  For each workload and each of 10 pairs i, both sides
 run `benchmark/run.py --trace 0` on seed i + 1, one after the other,
 with the base first on even i and the change first on odd i.  Then each
-side runs one `--trace 1` round per workload on seed 1.  Every run's
-result line is kept as printed; the file also holds, per workload and
-end-to-end metric, each side's median and quartiles and the number of
-pairs the change won, and per workload both sides' traced per-layer
-counts (every traced metric not measured in seconds).
+side runs one `--trace 1` round per workload on seed 1.  Last, each
+side times `import artinword; GroupParams(5)` in 40 fresh interpreters,
+the sides alternating spawn by spawn.  Every run's result line is kept
+as printed; the file also holds, per workload and end-to-end metric,
+each side's median and quartiles and the number of pairs the change
+won, per workload both sides' traced per-layer counts (every traced
+metric not measured in seconds), and the interleaved set-up times'
+medians and quartiles as `setup_interleaved`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+SETUP_SPAWNS = 40
+
+# the set-up that benchmark/run.py times as setup_s, in one fresh
+# interpreter
+SETUP_CODE = """\
+import sys, time
+sys.path.insert(0, {src!r})
+t0 = time.perf_counter()
+import artinword
+artinword.GroupParams(5)
+print(time.perf_counter() - t0)
+"""
 
 
 def git(*args: str) -> str:
@@ -45,6 +60,27 @@ def run_once(side_dir: Path, workload: str, seed: int, seconds: float,
          "--trace", str(trace)],
         cwd=side_dir, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def setup_interleaved(sides: dict[str, Path]) -> dict:
+    """Set-up seconds of SETUP_SPAWNS fresh interpreters per side, the
+    sides alternating, so that both meet the same machine load."""
+    times: dict[str, list[float]] = {side: [] for side in sides}
+    order = list(sides)
+    for i in range(SETUP_SPAWNS):
+        for side in order if i % 2 == 0 else order[::-1]:
+            code = SETUP_CODE.format(src=str(sides[side] / "src"))
+            done = subprocess.run([sys.executable, "-I", "-c", code],
+                                  check=True, capture_output=True, text=True)
+            times[side].append(float(done.stdout))
+    out: dict = {"spawns": SETUP_SPAWNS}
+    out.update((side, quartiles(vals)) for side, vals in times.items())
+    return out
 
 
 def summarise(runs: list[dict], better: dict[str, str]) -> dict:
@@ -68,9 +104,7 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
             row = {"better": direction, "change_wins": wins,
                    "pairs": len(pairs)}
             for side, vals in values.items():
-                q1, _, q3 = statistics.quantiles(vals, n=4)
-                row[side] = {"median": statistics.median(vals),
-                             "q1": q1, "q3": q3}
+                row[side] = quartiles(vals)
             rows[name] = row
         traced = {r["side"]: r["result"]["metrics"] for r in runs
                   if r["workload"] == workload and r["trace"] == 1}
@@ -118,6 +152,8 @@ def main(argv=None) -> int:
         for workload in workloads:
             for side in ("base", "change"):
                 record(side, workload, 1, 1)
+        setup = setup_interleaved(sides)
+        print(json.dumps({"setup_interleaved": setup}), flush=True)
     report = {
         "command": " ".join(["python3", "tools/bench_pairs.py",
                              *(argv if argv is not None else sys.argv[1:])]),
@@ -127,7 +163,8 @@ def main(argv=None) -> int:
         "machine": {"python": platform.python_version(),
                     "arch": platform.machine(),
                     "cpus": len(os.sched_getaffinity(0))},
-        "summary": summarise(runs, better),
+        "summary": {**summarise(runs, better),
+                    "setup_interleaved": setup},
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
