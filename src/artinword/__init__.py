@@ -5,7 +5,9 @@
 Words are reduced to geodesic representatives by a quadratic-time
 incremental process built on length-preserving tau moves applied in
 rightward reducing sequences; an independent brute-force oracle provides
-ground truth for testing.
+ground truth for testing.  The checks that only tests use (exhaustive RRS
+enumeration, word-level oracle moves) live in ``artinword.verify``, which
+``import artinword`` does not load.
 """
 
 from .core import (
@@ -55,9 +57,7 @@ from .rrs import (
     TraceEvent,
     apply_rrs,
     check_rrs,
-    enumerate_all_rrs,
     find_optimal_rrs,
-    is_optimal,
 )
 from .reducer import (
     equal_in_g,
@@ -68,11 +68,9 @@ from .reducer import (
 )
 from .oracle import (
     OracleConfig,
-    equivalence_closure,
     oracle_equal,
     oracle_equal_verdict,
     oracle_geodesic_length,
-    relator_moves,
 )
 
 __all__ = [
@@ -92,13 +90,12 @@ __all__ = [
     "tau_abc",
     # rrs
     "ABC", "CRITICAL_TYPES", "Meter", "P2G_AB", "P2G_BC", "Rrs",
-    "TraceEvent", "apply_rrs", "check_rrs", "enumerate_all_rrs",
-    "find_optimal_rrs", "is_optimal",
+    "TraceEvent", "apply_rrs", "check_rrs", "find_optimal_rrs",
     # reducer
     "equal_in_g", "geodesic_length", "is_geodesic", "push_letter",
     "reduce_to_geodesic",
     # oracle
-    "OracleConfig", "equivalence_closure", "oracle_equal",
-    "oracle_equal_verdict", "oracle_geodesic_length", "relator_moves",
+    "OracleConfig", "oracle_equal", "oracle_equal_verdict",
+    "oracle_geodesic_length",
 ]
 __version__ = "0.1.0"

@@ -189,6 +189,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                     events.append(d)
             print(json.dumps(events))
         elif args.command == "fuzz":
+            if args.max_len > MAX_WORD_LETTERS:
+                raise ResourceLimitError(
+                    f"--max-len is over {MAX_WORD_LETTERS} letters")
             config = OracleConfig(slack=args.slack)
             rng = random.Random(args.seed)
             for k in range(args.count):

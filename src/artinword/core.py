@@ -75,9 +75,6 @@ class GroupParams:
 def name_char(letter: Letter) -> str:
     return "abc"[letter % 3]
 
-def sign(letter: Letter) -> int:
-    return 1 if letter < 3 else -1
-
 def inverse_letter(letter: Letter) -> Letter:
     return (letter + 3) % 6
 

@@ -14,8 +14,8 @@ The moves of a whole class are found on that word in one left-to-right
 pass, and each lands on a canonical word again, so ac = ca and AC = CA
 are never applied.  A class also joins aC with Ca, which a word-level
 search reaches only through an insertion and a deletion; the class
-search can only find more.  ``ball`` and ``relator_moves`` return words,
-so they stay word-level.
+search can only find more.  The word-level moves, and ``ball`` and
+``relator_moves`` that return words, live in ``artinword.verify``.
 
 The length bound is adaptive: it starts at len(free_reduce(w)) + slack
 and re-anchors whenever a shorter representative is found, i.e. the
@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import heapq
 import re
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import (
     GroupParams,
@@ -89,64 +88,6 @@ def _relator_table(params: GroupParams,
     return table
 
 
-def _move_index(params: GroupParams, max_len: int) -> list:
-    """The moves at a position of a word of at most max_len letters, by
-    its first two letters x y.
-
-    Entry 6 x + y is None when x y is a cancelling pair, to be deleted,
-    and otherwise holds (right, rest, k) for each relator substitution
-    left -> right with left = x y + rest and k = len(left)."""
-    index: list = [() for _ in range(36)]
-    for left, right in _relator_table(params, max_len):
-        index[6 * left[0] + left[1]] += ((right, left[2:], len(left)),)
-    for pair in _INSERT_PAIRS:
-        index[6 * pair[0] + pair[1]] = None
-    return index
-
-
-def _local_moves(w: bytes, index: list) -> tuple[list[bytes], list[bytes]]:
-    """The words one relator substitution away from w, and those one
-    cancelling-pair deletion away, each in order of position."""
-    subs = []
-    dels = []
-    for i in range(len(w) - 1):
-        moves = index[6 * w[i] + w[i + 1]]
-        if moves is None:
-            dels.append(w[:i] + w[i + 2:])
-            continue
-        for right, rest, k in moves:
-            if not rest or w.startswith(rest, i + 2):
-                subs.append(w[:i] + right + w[i + k:])
-    return subs, dels
-
-
-def _insertions(w: bytes) -> list[bytes]:
-    """The words one cancelling-pair insertion away from w."""
-    return [head + pair + tail
-            for head, tail in [(w[:i], w[i:]) for i in range(len(w) + 1)]
-            for pair in _INSERT_PAIRS]
-
-
-def _neighbours(w: bytes, index: list, bound: int) -> list[bytes]:
-    subs, dels = _local_moves(w, index)
-    if len(w) + 2 <= bound:
-        return subs + dels + _insertions(w)
-    return subs + dels
-
-
-def relator_moves(w: Word, params: GroupParams) -> list[Word]:
-    """All words one relator substitution or one cancelling-pair
-    insertion/deletion away from w."""
-    out = []
-    seen = set()
-    index = _move_index(params, len(w))
-    for v in _neighbours(bytes(w), index, len(w) + 2):
-        if v not in seen:
-            seen.add(v)
-            out.append(tuple(v))
-    return out
-
-
 def _canon(w: bytes) -> bytes:
     """The canonical word of w's a/c commutation class: in each block
     between b-letters, its a-name letters, then its c-name letters."""
@@ -188,8 +129,8 @@ _DELETE, _MERGE = "delete", "merge"
 
 def _class_index(params: GroupParams, max_len: int) -> list:
     """The moves at a position of a canonical word of at most max_len
-    letters, by its first two letters x y, as _move_index gives them for
-    words.
+    letters, by its first two letters x y, as verify._move_index gives
+    them for words.
 
     Entry 6 x + y is _DELETE when x y is a cancelling a- or c-pair, and
     _MERGE when it is a cancelling b-pair, whose deletion merges the
@@ -316,7 +257,9 @@ class _Search:
     levels[k] is a heap of the canonical words of the pending classes of
     length k, so classes are expanded shortest first and, among those of
     one length, in byte order.  Lengths above the bound are never
-    expanded, and the bound only falls.  seen holds canonical words."""
+    expanded, and the bound only falls.  levels reaches only to top, the
+    bound or, when less, the longest length pushed, so a huge slack
+    costs nothing up front.  seen holds canonical words."""
 
     def __init__(self, start: Word, config: OracleConfig,
                  params: GroupParams):
@@ -327,15 +270,15 @@ class _Search:
         self.min_len = len(b)
         self.bound = len(b) + self.slack
         self.index = _class_index(params, self.bound)
-        self.levels: list[list[bytes]] = [[] for _ in range(self.bound + 1)]
-        self.levels[len(b)].append(b)
+        self.levels: list[list[bytes]] = [[] for _ in range(len(b))] + [[b]]
         self.low = len(b)          # no word shorter than this is pending
+        self.top = len(b)          # nor is one longer than this expanded
 
     def exhausted(self) -> bool:
         levels = self.levels
-        while self.low <= self.bound and not levels[self.low]:
+        while self.low <= self.top and not levels[self.low]:
             self.low += 1
-        return self.low > self.bound
+        return self.low > self.top
 
     def _admit(self, words: list[bytes]) -> list[bytes]:
         """Mark the unseen ones of words seen; returns them in order."""
@@ -362,13 +305,17 @@ class _Search:
             if n - 2 < self.min_len:
                 self.min_len = n - 2
                 self.bound = min(self.bound, n - 2 + self.slack)
+                self.top = min(self.top, self.bound)
             self.low = n - 2
             new += shorter
+        levels = self.levels
         if n + 2 <= self.bound:
             new += self._admit(_class_insertions(u))
+            if n + 2 > self.top:
+                levels += [[] for _ in range(n + 3 - len(levels))]
+                self.top = n + 2
         if len(self.seen) > self.cap:
             raise ResourceLimitError(f"oracle node cap {self.cap} exceeded")
-        levels = self.levels
         for v in new:
             heapq.heappush(levels[len(v)], v)
         if other_seen is not None:
@@ -393,27 +340,6 @@ def oracle_geodesic_length(w: Word, config: OracleConfig,
     while search.min_len > floor and not search.exhausted():
         search.expand_one()
     return search.min_len
-
-
-def ball(w: Word, config: OracleConfig, params: GroupParams) -> set[Word]:
-    """Every word reachable from free_reduce(w) within its length + slack
-    (fixed bound; used to collect complete equal-length representative
-    sets for geodesic inputs)."""
-    start = bytes(free_reduce(w))
-    bound = len(start) + config.slack
-    index = _move_index(params, bound)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in _neighbours(u, index, bound):
-            if len(v) <= bound and v not in seen:
-                seen.add(v)
-                if len(seen) > config.node_cap:
-                    raise ResourceLimitError(
-                        f"oracle node cap {config.node_cap} exceeded")
-                queue.append(v)
-    return {tuple(v) for v in seen}
 
 
 def oracle_equal_verdict(w1: Word, w2: Word, config: OracleConfig,
@@ -448,44 +374,3 @@ def oracle_equal_verdict(w1: Word, w2: Word, config: OracleConfig,
 def oracle_equal(w1: Word, w2: Word, config: OracleConfig,
                  params: GroupParams) -> bool:
     return oracle_equal_verdict(w1, w2, config, params)[0]
-
-
-def _two_gen_spans(w: Word) -> Iterable[tuple[int, int, str]]:
-    """Spans (i, j, pair) whose letters use exactly two names."""
-    L = len(w)
-    for i in range(L):
-        names = {w[i] % 3}
-        for j in range(i + 2, L + 1):
-            names.add(w[j - 1] % 3)
-            if len(names) > 2:
-                break
-            if len(names) == 2:
-                yield i, j, "".join(sorted("abc"[k] for k in names))
-
-
-def equivalence_closure(w: Word, params: GroupParams,
-                        cap: int = 100_000) -> set[Word]:
-    """Closure of {w} under adjacent a/c swaps and tau moves on critical
-    2-generator subwords.  All members share w's length and element."""
-    from .dihedral import is_critical_2gen, tau_2gen
-
-    seen = {w}
-    queue = deque([w])
-    while queue:
-        u = queue.popleft()
-        nbrs: list[Word] = []
-        for i in range(len(u) - 1):
-            if u[i] % 3 + u[i + 1] % 3 == 2:   # names {a, c} commute
-                nbrs.append(u[:i] + (u[i + 1], u[i]) + u[i + 2:])
-        for i, j, pair in _two_gen_spans(u):
-            wit = is_critical_2gen(u[i:j], pair, params)
-            if wit is not None:
-                nbrs.append(u[:i] + tau_2gen(wit, params) + u[j:])
-        for v in nbrs:
-            if v not in seen:
-                seen.add(v)
-                if len(seen) > cap:
-                    raise ResourceLimitError(
-                        f"equivalence closure cap {cap} exceeded")
-                queue.append(v)
-    return seen

@@ -6,8 +6,9 @@ whose left-to-right tau replacements leave a cancelling pair against
 f(gamma), shortening the word by exactly 2.
 
 This module provides the validity checker, application with trace events,
-the optimality predicate, a brute-force enumerator (test oracle), and the
-right-to-left search for the unique optimal RRS of w x with w in W.
+and the right-to-left search for the unique optimal RRS of w x with w in
+W.  The optimality predicate and the brute-force enumerator that test the
+search live in artinword.verify.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Iterator, Optional, Union
 
 from .core import (
     GroupParams,
-    ResourceLimitError,
     Word,
     commutes,
     format_word,
@@ -225,7 +225,7 @@ def apply_rrs(rrs: Rrs, params: GroupParams, want_trace: bool = False,
     start, end = rrs.cuts[0], rrs.cuts[1]
     step = 0
     for i in range(m):
-        ctype, u_word, wit = rrs.us[i]
+        ctype, _, wit = rrs.us[i]
         tau = (tau_abc(wit, params) if ctype == ABC
                else tau_p2g(wit, params))
         if want_trace:
@@ -239,13 +239,9 @@ def apply_rrs(rrs: Rrs, params: GroupParams, want_trace: bool = False,
                                      tuple(letters[start:end]), tau))
             step += 1
         letters[start:end] = tau
-        if i + 1 < m + 1:
-            if ctype == ABC:
-                head_len = 1 + abs(wit.bab.k) + abs(wit.beta)
-            else:
-                head_len = 1 + abs(wit.beta)
-            start = end - head_len
-            end = rrs.cuts[i + 2]
+        # u_{i+1} is tau's chain head followed by w_{i+1}
+        start = end - len(chain_head(ctype, wit, params))
+        end = rrs.cuts[i + 2]
     # u_{m+1} = x v  ->  v x
     u_last = letters[start:end]
     shifted = u_last[1:] + [u_last[0]]
@@ -266,119 +262,6 @@ def apply_rrs(rrs: Rrs, params: GroupParams, want_trace: bool = False,
            and mu[-1 - k] == inverse_letter(tail[k])):
         k += 1
     return mu[:len(mu) - k] + tail[k:], events
-
-
-def is_optimal(rrs: Rrs, params: GroupParams, enumerate_limit: int = 16,
-               ) -> bool:
-    """Definition-level optimality.
-
-    Condition (i) (no RRS starts further right) is decided by enumeration
-    for hosts up to enumerate_limit letters, otherwise by re-running the
-    optimal search (which requires p(host) in W).
-    """
-    host = rrs.host
-    # (ii): f(gamma) must not occur in w_{m+1}
-    gamma_first = host[rrs.cuts[-1]]
-    if gamma_first in rrs.w_part(rrs.m + 1):
-        return False
-    # (iii): consecutive-type condition
-    for i in range(1, rrs.m):
-        prev_t, _, _ = rrs.us[i - 1]
-        cur_t, _, cur_wit = rrs.us[i]
-        if prev_t == ABC:
-            continue
-        if cur_wit.alpha != 0:
-            continue
-        if cur_t == ABC:
-            ok = prev_t == P2G_AB   # |{x,y} n {b,c}| = 1
-        else:
-            ok = cur_t != prev_t    # distinct P2G pairs share exactly b
-        if not ok:
-            return False
-    # (i): w_1 starts as far right as any RRS allows
-    if len(host) <= enumerate_limit:
-        rival = enumerate_all_rrs(host, params)
-        best = max(r.cuts[0] for r in rival) if rival else -1
-    else:
-        found = find_optimal_rrs(host[:-1], host[-1], params)
-        best = found.cuts[0] if found is not None else -1
-    return rrs.cuts[0] == best
-
-
-def enumerate_all_rrs(host: Word, params: GroupParams,
-                      max_m: Optional[int] = None,
-                      max_host_len: int = 16,
-                      step_budget: int = 2_000_000) -> list[Rrs]:
-    """Every valid RRS of host, by exhaustive search (test oracle).
-
-    Guarded: hosts longer than max_host_len or searches exceeding the step
-    budget raise ResourceLimitError.
-    """
-    L = len(host)
-    if L > max_host_len:
-        raise ResourceLimitError(
-            f"enumerate_all_rrs limited to {max_host_len} letters, got {L}")
-    if max_m is None:
-        max_m = L
-    steps = [0]
-    results: list[Rrs] = []
-
-    def spend() -> None:
-        steps[0] += 1
-        if steps[0] > step_budget:
-            raise ResourceLimitError("enumerate_all_rrs budget exceeded")
-
-    def close(cuts: list[int], types: list[str], u_prev) -> None:
-        # choose w_{m+1} = host[pos:g], gamma = host[g:]
-        pos = cuts[-1]
-        ctype, wit = u_prev
-        for g in range(pos, L):
-            spend()
-            u_last = chain_head(ctype, wit, params) + host[pos:g]
-            if u_last[0] != inverse_letter(host[g]):
-                continue
-            if any(not commutes(u_last[0], l) for l in u_last[1:]):
-                continue
-            r = check_rrs(host, tuple(cuts + [g]), tuple(types), params)
-            if r is not None:
-                results.append(r)
-
-    def extend(cuts: list[int], types: list[str], u_prev) -> None:
-        close(cuts, types, u_prev)
-        if len(types) >= max_m:
-            return
-        pos = cuts[-1]
-        ctype, wit = u_prev
-        head = chain_head(ctype, wit, params)
-        for nxt in range(pos + 1, L):
-            spend()
-            u_next = head + host[pos:nxt]
-            for t in CRITICAL_TYPES:
-                w2 = critical_witness(u_next, t, params)
-                if w2 is not None:
-                    extend(cuts + [nxt], types + [t], (t, w2))
-
-    for start in range(L):
-        # m = 0: w_1 = x v with x = f(gamma)^-1
-        for g in range(start + 1, L):
-            spend()
-            x = host[start]
-            if x != inverse_letter(host[g]):
-                continue
-            if any(not commutes(x, l) for l in host[start + 1:g]):
-                continue
-            r = check_rrs(host, (start, g), (), params)
-            if r is not None:
-                results.append(r)
-        # m >= 1
-        for end1 in range(start + 1, L):
-            spend()
-            w1 = host[start:end1]
-            for t in CRITICAL_TYPES:
-                wit = critical_witness(w1, t, params)
-                if wit is not None:
-                    extend([start, end1], [t], (t, wit))
-    return results
 
 
 def _scan_distinguished(host: Word, from_idx: int, phases: tuple[int, ...],
@@ -619,11 +502,8 @@ def find_optimal_rrs(w: Word, x: int, params: GroupParams,
         while e < L and w[e] != x:
             e += 1
         return check_rrs(host, (j - 1, e), (), params)
-    s_name, t_name = x % 3, w[j - 1] % 3
-    if s_name == t_name or s_name + t_name == 2:   # equal or {a,c}
-        return None
-    # the pair {s, t} always contains b here; it is {a,b} or {b,c}
-    type_i = P2G_BC if 2 in (s_name, t_name) else P2G_AB
+    # w[j-1] does not commute with x: their names are {a,b} or {b,c}
+    type_i = P2G_BC if 2 in (x % 3, w[j - 1] % 3) else P2G_AB
 
     memo = getattr(_active, "memo", None)
     if memo is None or memo.word is not w:

@@ -19,22 +19,16 @@ from artinword.core import GroupParams, format_word, parse_word
 from artinword.dihedral import is_critical_2gen, tau_2gen
 from artinword.p2g import is_p2g_critical, tau_p2g
 from artinword.abc_critical import is_abc_critical, tau_abc
-from artinword.oracle import (
-    OracleConfig,
-    ball,
-    equivalence_closure,
-    oracle_equal,
-    oracle_geodesic_length,
-)
+from artinword.oracle import OracleConfig, oracle_equal, oracle_geodesic_length
 from artinword.reducer import push_letter, reduce_to_geodesic
 from artinword.rrs import (
     ABC,
     P2G_BC,
     Meter,
     apply_rrs,
-    enumerate_all_rrs,
     find_optimal_rrs,
 )
+from artinword.verify import ball, enumerate_all_rrs, equivalence_closure
 
 from helpers import (
     PairRep,

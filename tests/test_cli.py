@@ -2,7 +2,9 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
+import artinword
 from artinword.core import GroupParams
 from artinword.reducer import push_letter
 from artinword.rrs import Meter
@@ -120,3 +122,25 @@ class TestExitCodes:
         r = run_cli("bench", "--len", str(10 ** 6 + 1))
         assert r.returncode == 3
         assert "resource limit" in r.stderr
+
+    def test_fuzz_length_limit(self):
+        """fuzz --max-len past the letter cap is refused before the first
+        word is drawn."""
+        r = run_cli("fuzz", "--max-len", str(10 ** 9))
+        assert r.returncode == 3
+        assert "resource limit" in r.stderr
+
+
+def test_import_loads_no_verification_code():
+    """import artinword leaves artinword.verify, the test-only checks,
+    unloaded; an isolated interpreter keeps other tests' imports out."""
+    src = str(Path(artinword.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, %r); import artinword; "
+            "print(artinword.__file__, 'artinword.verify' in sys.modules)"
+            % src)
+    r = subprocess.run([sys.executable, "-I", "-c", code],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    path, loaded = r.stdout.rsplit(maxsplit=1)
+    assert Path(path).resolve() == Path(artinword.__file__).resolve()
+    assert loaded == "False"

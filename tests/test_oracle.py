@@ -15,13 +15,11 @@ from artinword.core import (
 )
 from artinword.oracle import (
     OracleConfig,
-    ball,
-    equivalence_closure,
     oracle_equal,
     oracle_equal_verdict,
     oracle_geodesic_length,
-    relator_moves,
 )
+from artinword.verify import ball, equivalence_closure, relator_moves
 
 from helpers import random_raw_word
 
@@ -63,6 +61,13 @@ class TestGeodesicLength:
                 a = oracle_geodesic_length(w, OracleConfig(slack=2), params)
                 b = oracle_geodesic_length(w, OracleConfig(slack=4), params)
                 assert a == b, F(w)
+
+    def test_huge_slack(self, params5):
+        """The search allots its per-length heaps as lengths are pushed,
+        not up to the bound, so a huge slack costs nothing up front."""
+        config = OracleConfig(slack=10 ** 9)
+        assert oracle_geodesic_length(P("ab"), config, params5) == 2
+        assert oracle_equal(P("aba"), P("bab"), config, params5)
 
     def test_node_cap(self, params5):
         with pytest.raises(ResourceLimitError):

@@ -18,8 +18,8 @@ from artinword.reducer import (
     push_letter,
     reduce_to_geodesic,
 )
-from artinword.rrs import (Meter, chain_memo, enumerate_all_rrs,
-                           find_optimal_rrs)
+from artinword.rrs import Meter, chain_memo, find_optimal_rrs
+from artinword.verify import enumerate_all_rrs, is_optimal
 
 from helpers import random_raw_word, random_reduced_word, relator_pair_word
 
@@ -322,7 +322,7 @@ class TestN5Fixtures:
         prefix = reduce_to_geodesic(w[:-1], params5)[0]
         host = prefix + w[-1:]
         optimal = [r for r in enumerate_all_rrs(host, params5)
-                   if rrs.is_optimal(r, params5)]
+                   if is_optimal(r, params5)]
         found = find_optimal_rrs(prefix, w[-1], params5)
         if cuts is None:
             assert optimal == [] and found is None

@@ -1,20 +1,27 @@
 import random
+from collections import Counter
 
 import pytest
 
-from artinword.core import ResourceLimitError, format_word, parse_word
+from artinword.abc_critical import tau_abc
+from artinword.core import (GroupParams, ResourceLimitError, format_word,
+                            inverse_letter, make_alternating, parse_word)
+from artinword.p2g import tau_p2g
 from artinword.rrs import (
     ABC,
+    CRITICAL_TYPES,
     P2G_AB,
     P2G_BC,
     Meter,
     apply_rrs,
+    chain_head,
     check_rrs,
-    enumerate_all_rrs,
     find_optimal_rrs,
-    is_optimal,
 )
 from artinword.reducer import push_letter
+from artinword.verify import enumerate_all_rrs, is_optimal
+
+from helpers import random_raw_word, random_reduced_word
 
 P = parse_word
 F = format_word
@@ -181,6 +188,15 @@ class TestIsOptimal:
         assert one_step is not None
         assert is_optimal(one_step, params5)
 
+    def test_size_guard(self, params5):
+        """Condition (i) is decided by enumeration only, so a host past
+        its limit is refused, not decided by the search under test."""
+        host = P("b" * 16 + "aA")
+        rrs = check_rrs(host, (16, 17), (), params5)
+        assert rrs is not None
+        with pytest.raises(ResourceLimitError):
+            is_optimal(rrs, params5)
+
 
 class TestFindOptimalRrs:
     def test_example_4_3(self, params5):
@@ -216,3 +232,50 @@ class TestFindOptimalRrs:
         meter = Meter()
         find_optimal_rrs(P("bcbcabacbc"), P("B")[0], params5, meter=meter)
         assert meter.letters > 0
+
+
+def _abc_chain_word(n, mid, sign):
+    """Example 4.3 at n: w_1 a {b,c} alternation of n - 1 letters ending
+    in c, then mid; w_2 a {b,c} alternation of n - 2 letters from c; and
+    gamma the inverse of the letter that would continue it.  sign -1
+    inverts every letter."""
+    head = make_alternating(1, 2, n - 1, "end")
+    tail = make_alternating(2, 1, n - 1, "start")
+    w = head + P(mid) + tail[:-1] + (inverse_letter(tail[-1]),)
+    return w if sign > 0 else tuple(inverse_letter(l) for l in w)
+
+
+class TestChainRule:
+    def test_tau_ends_with_chain_head(self):
+        """On every link u_i of every RRS the search returns, tau(u_i)
+        ends with chain_head(type_i, witness_i), the letters that
+        check_rrs and apply_rrs carry into u_{i+1}.  The corpus holds
+        raw words and Example 4.3's shape behind short reduced prefixes,
+        so that every type occurs at every n."""
+        rng = random.Random(41)
+        links = Counter()
+        for n in range(5, 9):
+            params = GroupParams(n)
+            corpus = [random_raw_word(rng, 60) for _ in range(30)]
+            corpus += [random_reduced_word(rng, rng.randint(0, 4))
+                       + _abc_chain_word(n, mid, sign)
+                       for mid in ("aba", "abaa", "baba")
+                       for sign in (1, -1) for _ in range(5)]
+            for word in corpus:
+                w = ()
+                for x in word:
+                    rrs = find_optimal_rrs(w, x, params)
+                    if rrs is None:
+                        w += (x,)
+                        continue
+                    for ctype, u, wit in rrs.us[:-1]:
+                        tau = (tau_abc(wit, params) if ctype == ABC
+                               else tau_p2g(wit, params))
+                        head = chain_head(ctype, wit, params)
+                        assert 0 < len(head) <= len(tau), (n, F(u))
+                        assert tau[len(tau) - len(head):] == head, \
+                            (n, F(u), ctype)
+                        links[n, ctype] += 1
+                    w = apply_rrs(rrs, params)[0]
+        assert all(links[n, t] >= 10 for n in range(5, 9)
+                   for t in CRITICAL_TYPES), links

@@ -15,8 +15,10 @@ the sides alternating spawn by spawn.  Every run's result line is kept
 as printed; the file also holds, per workload and end-to-end metric,
 each side's median and quartiles and the number of pairs the change
 won, per workload both sides' traced per-layer counts (every traced
-metric not measured in seconds), and the interleaved set-up times'
-medians and quartiles as `setup_interleaved`.
+metric not measured in seconds), the interleaved set-up times'
+medians and quartiles as `setup_interleaved`, and each side's line
+count of `src/artinword/*.py` as `src_lines`: `verify` for verify.py,
+which only tests import, and `runtime` for the rest.
 """
 
 from __future__ import annotations
@@ -81,6 +83,15 @@ def setup_interleaved(sides: dict[str, Path]) -> dict:
     out: dict = {"spawns": SETUP_SPAWNS}
     out.update((side, quartiles(vals)) for side, vals in times.items())
     return out
+
+
+def src_lines(side_dir: Path) -> dict:
+    """Lines of the side's src/artinword/*.py, verify.py apart."""
+    counts = {"runtime": 0, "verify": 0}
+    for path in (side_dir / "src" / "artinword").glob("*.py"):
+        part = "verify" if path.name == "verify.py" else "runtime"
+        counts[part] += len(path.read_text().splitlines())
+    return counts
 
 
 def summarise(runs: list[dict], better: dict[str, str]) -> dict:
@@ -154,6 +165,7 @@ def main(argv=None) -> int:
                 record(side, workload, 1, 1)
         setup = setup_interleaved(sides)
         print(json.dumps({"setup_interleaved": setup}), flush=True)
+        lines = {side: src_lines(path) for side, path in sides.items()}
     report = {
         "command": " ".join(["python3", "tools/bench_pairs.py",
                              *(argv if argv is not None else sys.argv[1:])]),
@@ -164,7 +176,7 @@ def main(argv=None) -> int:
                     "arch": platform.machine(),
                     "cpus": len(os.sched_getaffinity(0))},
         "summary": {**summarise(runs, better),
-                    "setup_interleaved": setup},
+                    "setup_interleaved": setup, "src_lines": lines},
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
