@@ -16,8 +16,7 @@ where eps is the sign of the final (name-c) letter of tau(hat(u_sharp)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import GroupParams, Word, power_word
 from .dihedral import BabForm, tau_2gen, tau_last_letter, to_bab_form
@@ -31,8 +30,7 @@ _B_LETTER = 1
 _C_LETTER = 2
 
 
-@dataclass(frozen=True)
-class AbcWitness:
+class AbcWitness(NamedTuple):
     word: Word
     p_end: int            # u_p = word[:p_end]
     r_start: int          # u_r = word[r_start:], u_q in between

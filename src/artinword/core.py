@@ -12,7 +12,7 @@ sugar for repeated letters, and whitespace is ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 Letter = int
 Word = tuple[int, ...]
@@ -41,25 +41,32 @@ class ResourceLimitError(RuntimeError):
 MAX_WORD_LETTERS = 10 ** 6
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class _GroupParamsFields(NamedTuple):
+    n: int = 5
+    allow_small_n: bool = False
+
+
+class GroupParams(_GroupParamsFields):
     """Presentation parameters: m(a,b)=3, m(a,c)=2, m(b,c)=n.
 
     n in {3,4} is permitted only behind ``allow_small_n``; the geodesic
     machinery is documented as incomplete there (it exists so the n=4
-    counterexamples can be exercised).
+    counterexamples can be exercised).  A NamedTuple, so it equals and
+    hashes as the tuple (n, allow_small_n); ``_replace`` and ``_make``
+    skip the checks below.
     """
 
-    n: int = 5
-    allow_small_n: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 3:
             raise ValueError(f"n must be >= 3, got {self.n}")
         if self.n < 5 and not self.allow_small_n:
             raise ValueError(
                 f"n={self.n} needs allow_small_n=True (geodesic reduction "
                 "is only complete for n >= 5)")
+        return self
 
     def m(self, pair: str) -> int:
         """Relation length for a generator pair given as 'ab', 'ac' or 'bc'."""

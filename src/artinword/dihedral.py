@@ -16,7 +16,6 @@ names both differ from the input's.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -46,8 +45,7 @@ UNSIGNED_POS_NEG = "unsigned-pos-neg"  # p(x,y) xi (Z,T)_n
 UNSIGNED_NEG_POS = "unsigned-neg-pos"  # n(X,Y) xi (z,t)_p
 
 
-@dataclass(frozen=True)
-class TwoGenCriticalWitness:
+class TwoGenCriticalWitness(NamedTuple):
     word: Word
     pair: str
     shape: str

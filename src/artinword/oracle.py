@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     GroupParams,
@@ -45,16 +44,27 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class _OracleConfigFields(NamedTuple):
     slack: int = 4
     node_cap: int = 5_000_000
 
-    def __post_init__(self):
+
+class OracleConfig(_OracleConfigFields):
+    """The search's limits.  slack is how far past the length of the best
+    word so far the length bound reaches.  node_cap bounds the letters a
+    search holds: those of the classes it has seen plus those of the
+    neighbours one expansion builds (see _Search).  A NamedTuple, like
+    GroupParams."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.slack < 0:
             raise ValueError("slack must be >= 0")
         if self.node_cap <= 0:
             raise ValueError("node_cap must be positive")
+        return self
 
 
 _INSERT_PAIRS = [bytes((l, (l + 3) % 6)) for l in range(6)]
@@ -210,13 +220,14 @@ def _class_moves(u: bytes, index: list) -> tuple[list[bytes], list[bytes]]:
     return subs, dels
 
 
-def _class_insertions(u: bytes) -> list[bytes]:
+def _class_insertions(u: bytes, blocks: list[tuple[int, int, int]],
+                      ) -> list[bytes]:
     """The classes one cancelling-pair insertion away from the class of
-    the canonical word u: an a-pair among a block's a-name letters, a
-    c-pair among its c-name letters, or a b-pair that splits the block
-    at any place in each."""
+    the canonical word u, whose _blocks are blocks: an a-pair among a
+    block's a-name letters, a c-pair among its c-name letters, or a
+    b-pair that splits the block at any place in each."""
     out = []
-    for s, j, e in _blocks(u):
+    for s, j, e in blocks:
         for x in range(s, j + 1):
             head, tail = u[:x], u[x:]
             out += [head + pair + tail for pair in _A_PAIRS]
@@ -227,6 +238,12 @@ def _class_insertions(u: bytes) -> list[bytes]:
             head, tail = u[:y], u[y:]
             out += [head + pair + tail for pair in _C_PAIRS]
     return out
+
+
+def _insertion_count(blocks: list[tuple[int, int, int]]) -> int:
+    """How many words _class_insertions builds from these blocks."""
+    return 2 * sum((j - s + 1) * (e - j + 2) + e - j + 1
+                   for s, j, e in blocks)
 
 
 def _abelianization(w: Word, params: GroupParams) -> tuple[int, ...]:
@@ -259,7 +276,17 @@ class _Search:
     one length, in byte order.  Lengths above the bound are never
     expanded, and the bound only falls.  levels reaches only to top, the
     bound or, when less, the longest length pushed, so a huge slack
-    costs nothing up front.  seen holds canonical words."""
+    costs nothing up front.  seen holds canonical words.
+
+    node_cap bounds letters: the seen classes, counted at the longest
+    length pushed (len(levels) - 1), plus the neighbours an expansion is
+    about to build.  There are at most per_pos substitutions, or one
+    deletion, at each position, and the insertions its blocks allow.
+    An expansion first compares len(seen) with safe_seen, which leaves
+    room for the substitutions and deletions of a class of the longest
+    length, and checks again before it builds insertions.  Either check
+    raises ResourceLimitError, so a long word fails at once instead of
+    building about 4L neighbours of L letters each."""
 
     def __init__(self, start: Word, config: OracleConfig,
                  params: GroupParams):
@@ -270,9 +297,24 @@ class _Search:
         self.min_len = len(b)
         self.bound = len(b) + self.slack
         self.index = _class_index(params, self.bound)
+        self.per_pos = max(len(e) for e in self.index
+                           if e is not _DELETE and e is not _MERGE) or 1
         self.levels: list[list[bytes]] = [[] for _ in range(len(b))] + [[b]]
         self.low = len(b)          # no word shorter than this is pending
         self.top = len(b)          # nor is one longer than this expanded
+        self._set_safe_seen()
+
+    def _set_safe_seen(self) -> None:
+        """How many classes may be seen before the substitutions and
+        deletions of a class of the longest length, at most
+        per_pos * longest**2 letters, could pass node_cap."""
+        longest = len(self.levels) - 1
+        self.safe_seen = ((self.cap - self.per_pos * longest * longest)
+                          // max(longest, 1))
+
+    def _over_cap(self):
+        raise ResourceLimitError(
+            f"oracle node cap of {self.cap} letters exceeded")
 
     def exhausted(self) -> bool:
         levels = self.levels
@@ -296,6 +338,8 @@ class _Search:
         it lands in other_seen."""
         if self.exhausted():
             return None
+        if len(self.seen) > self.safe_seen:
+            self._over_cap()
         u = heapq.heappop(self.levels[self.low])
         n = len(u)
         subs, dels = _class_moves(u, self.index)
@@ -310,12 +354,15 @@ class _Search:
             new += shorter
         levels = self.levels
         if n + 2 <= self.bound:
-            new += self._admit(_class_insertions(u))
+            blocks = _blocks(u)
+            if (len(self.seen) * (len(levels) - 1) + self.per_pos * n * n
+                    + (n + 2) * _insertion_count(blocks) > self.cap):
+                self._over_cap()
+            new += self._admit(_class_insertions(u, blocks))
             if n + 2 > self.top:
                 levels += [[] for _ in range(n + 3 - len(levels))]
                 self.top = n + 2
-        if len(self.seen) > self.cap:
-            raise ResourceLimitError(f"oracle node cap {self.cap} exceeded")
+                self._set_safe_seen()
         for v in new:
             heapq.heappush(levels[len(v)], v)
         if other_seen is not None:

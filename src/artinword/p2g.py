@@ -12,8 +12,7 @@ with alpha/beta the z-exponents of the outer blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import GroupParams, Letter, Word, make_letter, power_word
 # is_critical_2gen stays imported, though unused here, because
@@ -36,8 +35,7 @@ def commuting_z(pair: str) -> str:
     return "c" if pair == "ab" else "a"
 
 
-@dataclass(frozen=True)
-class P2GWitness:
+class P2GWitness(NamedTuple):
     word: Word
     pair: str              # "ab" or "bc"
     p_end: int             # u_p = word[:p_end]

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .core import (
     GroupParams,
@@ -64,8 +63,7 @@ class Meter:
         self.letters += k
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     step: int
     kind: str                      # tau_2gen | tau_p2g | tau_abc |
     span: tuple[int, int]          # commute-shift | free-cancel
@@ -82,8 +80,7 @@ class TraceEvent:
         }
 
 
-@dataclass(frozen=True)
-class Rrs:
+class Rrs(NamedTuple):
     """A validated RRS: host = mu w_1 .. w_m w_{m+1} gamma.
 
     cuts has m+2 entries: cuts[0] is the start of w_1, cuts[i] the end of

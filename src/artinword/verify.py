@@ -167,20 +167,24 @@ def relator_moves(w: Word, params: GroupParams) -> list[Word]:
 def ball(w: Word, config: OracleConfig, params: GroupParams) -> set[Word]:
     """Every word reachable from free_reduce(w) within its length + slack
     (fixed bound; used to collect complete equal-length representative
-    sets for geodesic inputs)."""
+    sets for geodesic inputs).  config.node_cap bounds the letters of the
+    words seen, as in the class search."""
     start = bytes(free_reduce(w))
     bound = len(start) + config.slack
     index = _move_index(params, bound)
     seen = {start}
+    held = len(start)
     queue = deque([start])
     while queue:
         u = queue.popleft()
         for v in _neighbours(u, index, bound):
             if v not in seen:
                 seen.add(v)
-                if len(seen) > config.node_cap:
+                held += len(v)
+                if held > config.node_cap:
                     raise ResourceLimitError(
-                        f"oracle node cap {config.node_cap} exceeded")
+                        f"oracle node cap of {config.node_cap} letters "
+                        "exceeded")
                 queue.append(v)
     return {tuple(v) for v in seen}
 

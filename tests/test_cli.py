@@ -144,3 +144,33 @@ def test_import_loads_no_verification_code():
     path, loaded = r.stdout.rsplit(maxsplit=1)
     assert Path(path).resolve() == Path(artinword.__file__).resolve()
     assert loaded == "False"
+
+
+def test_import_loads_no_dataclasses():
+    """The records are NamedTuples, so import artinword loads neither
+    dataclasses nor the inspect module it pulls in."""
+    src = str(Path(artinword.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, %r); import artinword; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+            % src)
+    r = subprocess.run([sys.executable, "-I", "-c", code],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+def test_oracle_length_bounds_memory():
+    """On (aB)^50000 the first expansion would build about 500,000
+    insertion classes of 100,002 letters; the letter cap stops it before
+    it builds them.  The peak RSS is the child's alone."""
+    code = ("import resource, subprocess, sys; "
+            "r = subprocess.run(sys.argv[1:], capture_output=True); "
+            "print(r.returncode, "
+            "resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    r = subprocess.run([sys.executable, "-c", code, sys.executable, "-m",
+                        "artinword.cli", "oracle-length", "aB" * 50_000],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    exit_code, max_rss_kb = map(int, r.stdout.split())
+    assert exit_code == 3
+    assert max_rss_kb < 100 * 1024

@@ -235,7 +235,10 @@ class TestClassMoves:
                 subs, dels = oracle._class_moves(u, index)
                 got = set(subs + dels)
                 if insert:
-                    got.update(oracle._class_insertions(u))
+                    blocks = oracle._blocks(u)
+                    ins = oracle._class_insertions(u, blocks)
+                    assert len(ins) == oracle._insertion_count(blocks)
+                    got.update(ins)
                 want = {oracle._canon(v) for m in members
                         for v in word_neighbours(m, table, insert)}
                 assert got - {u} == want - {u}, (n, F(u), insert)
