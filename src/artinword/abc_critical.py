@@ -70,10 +70,11 @@ def _ur_candidates(w: Word, end: int, params: GroupParams, meter=None,
       rejects it.  Mixed c-signs in an outer block (cC among them) stay
       in that block or end up stranded.  A cancelling pair of hat letters
       stays in every longer hat, and so does a hat p + n above 3, while
-      to_bab_form needs a freely reduced hat with p + n = 3.
+      every hat to_bab_form accepts is freely reduced with p + n = 3.
     * the hat is one-signed with p + n = 3 and holds at least two
-      b-letters.  to_bab_form's signed branch needs exactly one b, and a
-      hat letter of the other sign would push p + n to at least 4.
+      b-letters.  A one-signed hat that to_bab_form accepts has 3 runs,
+      so exactly one b, and a hat letter of the other sign would push
+      p + n to at least 4.
 
     A live scanner also means the decomposition exists with one-signed
     outer c-blocks, so each start whose hat has p + n = 3 takes its

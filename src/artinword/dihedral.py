@@ -3,7 +3,8 @@
 Covers the suffix scanner, which alone computes alternation runs and
 decides criticality, the geodesic criterion and critical-word check it
 gives on whole words, tau rewriting, the shortest-critical-suffix scan,
-and the linear-time transformation of {a,b}-words into b^i a^j b^k form.
+and to_bab_form, which reads the b^i a^j b^k form that tau-moves give an
+{a,b}-word off its name runs: only 3- and 5-run words have one.
 
 A word over a pair {x, y} with relation length m is *critical* when
 p + n = m (p and n are the longest positive / negative alternating
@@ -15,7 +16,7 @@ names both differ from the input's.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import groupby
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -23,6 +24,7 @@ from .core import (
     Letter,
     Word,
     inverse_letter,
+    is_freely_reduced,
     make_alternating,
     name_char,
 )
@@ -195,119 +197,50 @@ class BabForm(NamedTuple):
     k: int
 
 
-_A, _B = 0, 1
-_FLIP = {0: 1, 1: 0, 3: 4, 4: 3}
-
-
-def _parse_bab(letters: list[int]) -> Optional[tuple[int, int, int]]:
-    """Parse a letter list as b^i a^j b^k with i, j, k nonzero."""
-    idx, n = 0, len(letters)
-    runs: list[int] = []
-    for want in (_B, _A, _B):
-        start = idx
-        if idx >= n or letters[idx] % 3 != want:
-            return None
-        s = 1 if letters[idx] < 3 else -1
-        while (idx < n and letters[idx] % 3 == want
-               and (letters[idx] < 3) == (s > 0)):
-            idx += 1
-        runs.append(s * (idx - start))
-    if idx != n:
-        return None
-    return runs[0], runs[1], runs[2]
-
-
 def to_bab_form(v: Word, params: GroupParams) -> Optional[BabForm]:
-    """Decide whether the {a,b}-word v (with name-a first and last letters)
-    is transformable by tau-moves into b^i a^j b^k, and return (i, j, k).
+    """(i, j, k) when tau-moves rewrite the {a,b}-word v, whose first and
+    last letters have name a, into b^i a^j b^k, else None.
 
-    Implements the two-ended scan with the flip flag; the word sits in a
-    deque and every stage consumes the letters it rewrites, so the whole
-    scan is linear.
+    Read off v's name runs a^e1 b^e2 a^e3 [b^e4 a^e5] (nonzero signed
+    exponents); a cancelling pair, or any other number of runs, gives None:
+
+    * 3 runs, with |e2| = 1 and e2 in {e1, e3}, or |e1| = 1 and
+      e3 = -e1: (e3, e2, e1);
+    * 5 runs, with s = e1: |s| = 1, e2 = s, e5 = -s, e3 of sign -s and
+      e4 of sign s: (e3 - s, e4 + s, s);
+    * 5 runs, the mirror image, with s = e5: |s| = 1, e4 = s, e1 = -s,
+      e2 of sign s and e3 of sign -s: (s, e2 + s, e3 - s).
+
+    This is what the two-ended tau scan gives at every length.  It takes
+    a one-signed word only as a^e1 b^(+-1) a^e3.  On any other word its
+    first stage fixes the result's outer letters (B..ab or BA..b, or
+    their letterwise inverses), and a second stage would emit a name-a
+    letter inside one of the result's outer runs; what one stage can
+    finish are the 3- and 5-run shapes above.  params is unused: m(a, b)
+    is 3 in every G(n).
     """
     for l in v:
         if l % 3 == 2:
             raise ValueError("to_bab_form expects an {a,b}-word")
-    if not v or v[0] % 3 != _A or v[-1] % 3 != _A:
+    if not v or v[0] % 3 != 0 or v[-1] % 3 != 0:
         raise ValueError("first and last letters must have name a")
-    scan = _scan(v, "ab", params)
-    if scan.dead or sum(scan.pn) != 3:
+    if not is_freely_reduced(v):
         return None
-
-    neg = scan.neg_count
-    if neg == 0 or neg == len(v):
-        # signed case: a^p b a or a b a^s up to inversion (|j| = 1)
-        s = 1 if neg == 0 else -1
-        b_positions = [i for i, l in enumerate(v) if l % 3 == _B]
-        if len(b_positions) != 1:
-            return None
-        head, tail = b_positions[0], len(v) - 1 - b_positions[0]
-        if tail == 1:
-            return BabForm(s, s, s * head)
-        if head == 1:
-            return BabForm(s * tail, s, s)
-        return None
-
-    if (v[0] < 3) == (v[-1] < 3):
-        return None  # unsigned critical words end in a and a^-1
-
-    mid = deque(v)
-    flip = False
-    out_l: list[int] = []
-    out_r: list[int] = []  # outermost letter first; reversed at the end
-
-    def interp(l: int) -> int:
-        return _FLIP[l] if flip else l
-
-    while True:
-        while mid and interp(mid[0]) % 3 == _B:
-            out_l.append(interp(mid.popleft()))
-        while mid and interp(mid[-1]) % 3 == _B:
-            out_r.append(interp(mid.pop()))
-        if not mid:
-            break
-        left, right = interp(mid[0]), interp(mid[-1])
-        if left == right:
-            body = [interp(l) for l in mid]
-            if any(l % 3 != _A for l in body):
-                return None
-            out_l.extend(body)
-            break
-        # ends are now a and a^-1; consume one critical stage
-        if left < 3:
-            p_l = 2 if len(mid) >= 2 and interp(mid[1]) == _B else 1
-            n_r = (2 if len(mid) >= 2
-                   and interp(mid[-2]) == inverse_letter(_B) else 1)
-            if p_l + n_r != 3:
-                return None
-            if p_l == 2:
-                mid.popleft(); mid.popleft(); mid.pop()
-                emit_l, emit_r = [inverse_letter(_B)], [_A, _B]
-            else:
-                mid.popleft(); mid.pop(); mid.pop()
-                emit_l, emit_r = [inverse_letter(_B), inverse_letter(_A)], [_B]
-        else:
-            n_l = (2 if len(mid) >= 2
-                   and interp(mid[1]) == inverse_letter(_B) else 1)
-            p_r = 2 if len(mid) >= 2 and interp(mid[-2]) == _B else 1
-            if n_l + p_r != 3:
-                return None
-            if n_l == 1:
-                mid.popleft(); mid.pop(); mid.pop()
-                emit_l, emit_r = [_B, _A], [inverse_letter(_B)]
-            else:
-                mid.popleft(); mid.popleft(); mid.pop()
-                emit_l, emit_r = [_B], [inverse_letter(_A), inverse_letter(_B)]
-        out_l.extend(emit_l)
-        out_r.extend(reversed(emit_r))
-        flip = not flip
-
-    final = out_l + out_r[::-1]
-    parsed = _parse_bab(final)
-    if parsed is None:
-        return None
-    i, j, k = parsed
-    return BabForm(i, j, k)
+    # in a freely reduced word, the runs of equal letters are the name runs
+    runs = [(1 if l < 3 else -1) * len(tuple(g)) for l, g in groupby(v)]
+    if len(runs) == 3:
+        e1, e2, e3 = runs
+        if (abs(e2) == 1 and e2 in (e1, e3)) or (abs(e1) == 1 and e3 == -e1):
+            return BabForm(e3, e2, e1)
+    elif len(runs) == 5:
+        e1, e2, e3, e4, e5 = runs
+        s = e1
+        if abs(s) == 1 and e2 == s and e5 == -s and e3 * s < 0 < e4 * s:
+            return BabForm(e3 - s, e4 + s, s)
+        s = e5
+        if abs(s) == 1 and e4 == s and e1 == -s and e3 * s < 0 < e2 * s:
+            return BabForm(s, e2 + s, e3 - s)
+    return None
 
 
 # the letter names of each generator pair

@@ -219,6 +219,7 @@ def shortest_p2g_critical_suffix(w: Word, pair: str, params: GroupParams,
                                  end: Optional[int] = None,
                                  meter=None) -> Optional[int]:
     """Start index of the shortest P2G-critical suffix of w[:end], or None."""
+    _check_type(pair)
     if end is None:
         end = len(w)
     scan = P2GSuffixScanner(pair, params)

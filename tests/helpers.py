@@ -16,7 +16,8 @@ tests/test_dihedral.py.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator
+from collections import deque
+from typing import Iterable, Iterator, Optional
 
 from artinword.core import (GroupParams, Word, inverse_letter, invert_word,
                             make_alternating, power_word)
@@ -168,12 +169,132 @@ def decorate_with_z(rng: random.Random, crit: Word, pair: str,
     return tuple(out)
 
 
+# Reference for dihedral.to_bab_form: the two-ended tau scan, which
+# rewrites v stage by stage into b^i a^j b^k.
+
+_A, _B = 0, 1
+_FLIP = {0: 1, 1: 0, 3: 4, 4: 3}
+
+
+def _parse_bab(letters: list[int]) -> Optional[tuple[int, int, int]]:
+    """Parse a letter list as b^i a^j b^k with i, j, k nonzero."""
+    idx, n = 0, len(letters)
+    runs: list[int] = []
+    for want in (_B, _A, _B):
+        start = idx
+        if idx >= n or letters[idx] % 3 != want:
+            return None
+        s = 1 if letters[idx] < 3 else -1
+        while (idx < n and letters[idx] % 3 == want
+               and (letters[idx] < 3) == (s > 0)):
+            idx += 1
+        runs.append(s * (idx - start))
+    if idx != n:
+        return None
+    return runs[0], runs[1], runs[2]
+
+
+def to_bab_form_reference(v: Word, params: GroupParams) -> Optional[BabForm]:
+    """Decide whether the {a,b}-word v (with name-a first and last letters)
+    is transformable by tau-moves into b^i a^j b^k, and return (i, j, k).
+
+    Implements the two-ended scan with the flip flag; the word sits in a
+    deque and every stage consumes the letters it rewrites, so the whole
+    scan is linear.  dihedral.to_bab_form reads the same answer off v's
+    name runs and is tested against this.
+    """
+    from artinword.dihedral import BabForm, _scan
+
+    for l in v:
+        if l % 3 == 2:
+            raise ValueError("to_bab_form expects an {a,b}-word")
+    if not v or v[0] % 3 != _A or v[-1] % 3 != _A:
+        raise ValueError("first and last letters must have name a")
+    scan = _scan(v, "ab", params)
+    if scan.dead or sum(scan.pn) != 3:
+        return None
+
+    neg = scan.neg_count
+    if neg == 0 or neg == len(v):
+        # signed case: a^p b a or a b a^s up to inversion (|j| = 1)
+        s = 1 if neg == 0 else -1
+        b_positions = [i for i, l in enumerate(v) if l % 3 == _B]
+        if len(b_positions) != 1:
+            return None
+        head, tail = b_positions[0], len(v) - 1 - b_positions[0]
+        if tail == 1:
+            return BabForm(s, s, s * head)
+        if head == 1:
+            return BabForm(s * tail, s, s)
+        return None
+
+    if (v[0] < 3) == (v[-1] < 3):
+        return None  # unsigned critical words end in a and a^-1
+
+    mid = deque(v)
+    flip = False
+    out_l: list[int] = []
+    out_r: list[int] = []  # outermost letter first; reversed at the end
+
+    def interp(l: int) -> int:
+        return _FLIP[l] if flip else l
+
+    while True:
+        while mid and interp(mid[0]) % 3 == _B:
+            out_l.append(interp(mid.popleft()))
+        while mid and interp(mid[-1]) % 3 == _B:
+            out_r.append(interp(mid.pop()))
+        if not mid:
+            break
+        left, right = interp(mid[0]), interp(mid[-1])
+        if left == right:
+            body = [interp(l) for l in mid]
+            if any(l % 3 != _A for l in body):
+                return None
+            out_l.extend(body)
+            break
+        # ends are now a and a^-1; consume one critical stage
+        if left < 3:
+            p_l = 2 if len(mid) >= 2 and interp(mid[1]) == _B else 1
+            n_r = (2 if len(mid) >= 2
+                   and interp(mid[-2]) == inverse_letter(_B) else 1)
+            if p_l + n_r != 3:
+                return None
+            if p_l == 2:
+                mid.popleft(); mid.popleft(); mid.pop()
+                emit_l, emit_r = [inverse_letter(_B)], [_A, _B]
+            else:
+                mid.popleft(); mid.pop(); mid.pop()
+                emit_l, emit_r = [inverse_letter(_B), inverse_letter(_A)], [_B]
+        else:
+            n_l = (2 if len(mid) >= 2
+                   and interp(mid[1]) == inverse_letter(_B) else 1)
+            p_r = 2 if len(mid) >= 2 and interp(mid[-2]) == _B else 1
+            if n_l + p_r != 3:
+                return None
+            if n_l == 1:
+                mid.popleft(); mid.pop(); mid.pop()
+                emit_l, emit_r = [_B, _A], [inverse_letter(_B)]
+            else:
+                mid.popleft(); mid.popleft(); mid.pop()
+                emit_l, emit_r = [_B], [inverse_letter(_A), inverse_letter(_B)]
+        out_l.extend(emit_l)
+        out_r.extend(reversed(emit_r))
+        flip = not flip
+
+    final = out_l + out_r[::-1]
+    parsed = _parse_bab(final)
+    if parsed is None:
+        return None
+    i, j, k = parsed
+    return BabForm(i, j, k)
+
+
 def ur_candidates_reference(w: Word, end: int, params: GroupParams) -> list:
     """Brute-force u_r candidates of w[:end] for abc_critical: every
     name-a start, shortest suffix first, with no early stop.  Each suffix
     must decompose as a P2G {a,b} word whose outer blocks carry one-signed
-    c-powers and whose hat to_bab_form accepts."""
-    from artinword.dihedral import to_bab_form
+    c-powers and whose hat to_bab_form_reference accepts."""
     from artinword.p2g import decompose_p2g
 
     out = []
@@ -189,7 +310,7 @@ def ur_candidates_reference(w: Word, end: int, params: GroupParams) -> list:
             continue
         if abs(d.beta) != sum(1 for l in d.u_s if l % 3 == 2):
             continue
-        bab = to_bab_form(d.hat, params)
+        bab = to_bab_form_reference(d.hat, params)
         if bab is not None:
             out.append((r0, d, bab))
     return out

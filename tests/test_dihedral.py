@@ -1,8 +1,10 @@
 import random
+from itertools import chain, product
 
 import pytest
 
-from artinword.core import format_word, inverse_letter, parse_word
+from artinword.core import (format_word, inverse_letter, parse_word,
+                            power_word)
 from artinword.dihedral import (
     CriticalSuffixScanner,
     _scan,
@@ -18,7 +20,7 @@ from artinword.oracle import OracleConfig, oracle_geodesic_length
 
 from helpers import (PairRep, ac_equal, bab_word, critical_2gen_reference,
                      pair_letters, profile, random_reduced_word,
-                     reduced_words)
+                     reduced_words, to_bab_form_reference)
 
 P = parse_word
 F = format_word
@@ -192,6 +194,39 @@ class TestToBabForm:
                 assert not matches, (F(w), matches)
             else:
                 assert (got.i, got.j, got.k) in matches, (F(w), got, matches)
+
+    def test_matches_reference(self, params5):
+        """The run rule gives what the two-ended tau scan gives, result
+        or ValueError, on every word over the six letters of at most 5
+        letters, every a-ended {a,b}-word of at most 9 (unreduced ones
+        included) and every freely reduced one of 10-12, and the words of
+        every 3- and 5-run exponent vector with |e| <= 5 and every 7-run
+        one with |e| <= 2."""
+        def outcome(f, w):
+            try:
+                return f(w, params5)
+            except ValueError:
+                return ValueError
+
+        ab = pair_letters("ab")
+        a_ended = (lambda w: w[0] % 3 == 0 == w[-1] % 3)
+        run_words = (
+            sum((power_word(i % 2, e) for i, e in enumerate(es)), ())
+            for runs, bound in ((3, 5), (5, 5), (7, 2))
+            for es in product([e for e in range(-bound, bound + 1) if e],
+                              repeat=runs))
+        words = chain(
+            (w for L in range(6) for w in product(range(6), repeat=L)),
+            (w for L in range(1, 10) for w in product(ab, repeat=L)
+             if a_ended(w)),
+            filter(a_ended, reduced_words(ab, 12, min_len=10)),
+            run_words)
+        accepted = 0
+        for w in words:
+            got = outcome(to_bab_form, w)
+            assert got == outcome(to_bab_form_reference, w), F(w)
+            accepted += got not in (None, ValueError)
+        assert accepted > 400
 
 
 class TestShortestCriticalSuffix:

@@ -135,6 +135,8 @@ class TestCriticality:
         for w in ((), P("ab"), P("aA")):
             with pytest.raises(ValueError):
                 is_p2g_critical(w, "ac", params5)
+        with pytest.raises(ValueError):
+            shortest_p2g_critical_suffix(P("aba"), "ac", params5)
 
 
 class TestTauP2G:
