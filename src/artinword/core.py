@@ -113,7 +113,7 @@ def parse_word(text: str) -> Word:
             if j < n and text[j] == "-":
                 j += 1
             d0 = j
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j == d0:
                 raise ParseError("malformed exponent", i)

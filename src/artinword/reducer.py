@@ -27,7 +27,6 @@ def push_letter(w: Word, x: Letter, params: GroupParams,
 
 def reduce_to_geodesic(w: Word, params: GroupParams,
                        want_trace: bool = False,
-                       meter: Optional[Meter] = None,
                        ) -> tuple[Word, list[tuple[int, list[TraceEvent]]]]:
     """Geodesic representative of w, with optional per-push trace events.
 
@@ -38,8 +37,7 @@ def reduce_to_geodesic(w: Word, params: GroupParams,
     trace: list[tuple[int, list[TraceEvent]]] = []
     with chain_memo(cur) as memo:
         for idx, x in enumerate(w):
-            cur, events = push_letter(cur, x, params, want_trace=want_trace,
-                                      meter=meter)
+            cur, events = push_letter(cur, x, params, want_trace=want_trace)
             memo.rebase(cur)
             if want_trace and events:
                 trace.append((idx, events))

@@ -47,6 +47,10 @@ P2G_AB = "p2g-ab"
 P2G_BC = "p2g-bc"
 ABC = "abc"
 CRITICAL_TYPES = (P2G_AB, P2G_BC, ABC)
+# the generator pair of each P2G type
+_PAIRS = {P2G_AB: "ab", P2G_BC: "bc"}
+# the names a chain step scans leftward for, in turn, from each type's cut
+_PHASES = {P2G_AB: (1, 2), P2G_BC: (1, 0), ABC: (1, 2, 1, 0)}
 
 Witness = Union[P2GWitness, AbcWitness]
 # (type, u_i, witness) of one critical u_i of an RRS
@@ -107,13 +111,11 @@ class Rrs(NamedTuple):
 
 def critical_witness(word: Word, ctype: str, params: GroupParams,
                      ) -> Optional[Witness]:
-    if ctype == P2G_AB:
-        return is_p2g_critical(word, "ab", params)
-    if ctype == P2G_BC:
-        return is_p2g_critical(word, "bc", params)
     if ctype == ABC:
         return is_abc_critical(word, params)
-    raise ValueError(f"unknown criticality type {ctype!r}")
+    if ctype not in _PAIRS:
+        raise ValueError(f"unknown criticality type {ctype!r}")
+    return is_p2g_critical(word, _PAIRS[ctype], params)
 
 
 def chain_head(ctype: str, witness: Witness, params: GroupParams) -> Word:
@@ -261,44 +263,27 @@ def apply_rrs(rrs: Rrs, params: GroupParams, want_trace: bool = False,
     return mu[:len(mu) - k] + tail[k:], events
 
 
-def _scan_distinguished(host: Word, from_idx: int, phases: tuple[int, ...],
-                        meter: Optional[Meter]) -> Optional[int]:
-    """Scan leftward from from_idx for the distinguished letter.
+def _distinguished(host: Word, e: int, phases: tuple[int, ...],
+                   meter: Optional[Meter]) -> Optional[tuple[int, int]]:
+    """(pos, lft) for a chain step from the cut e, or None at the left end.
 
-    phases lists the name indices to satisfy in scan order; the last entry
-    is the distinguished name.  Returns its position, or None at the left
-    end.  E.g. phases (1, 2) = "a name-b letter, then the first name-c".
+    Scans host[:e] leftward for each name of phases in turn; pos is the
+    letter of the last, and lft the first letter left of it whose name
+    differs.  Meters e - lft letters (e + 1 when lft runs off, e when a
+    phase does).
     """
-    i = from_idx
-    seen = 0
-    visited = 0
-    while i >= 0:
-        visited += 1
-        if host[i] % 3 == phases[seen]:
-            seen += 1
-            if seen == len(phases):
-                if meter:
-                    meter.add(visited)
-                return i
+    i = e
+    for name in phases:
+        i -= 1
+        while i >= 0 and host[i] % 3 != name:
+            i -= 1
+    pos = i
+    i -= 1
+    while i >= 0 and host[i] % 3 == name:
         i -= 1
     if meter:
-        meter.add(visited)
-    return None
-
-
-def _left_neighbour(host: Word, pos: int, skip_name: int,
-                    meter: Optional[Meter]) -> Optional[int]:
-    i = pos - 1
-    visited = 0
-    while i >= 0 and host[i] % 3 == skip_name:
-        i -= 1
-        visited += 1
-    if meter:
-        meter.add(visited + 1)
-    return i if i >= 0 else None
-
-
-_NO_RRS = (_BAD, -1, "")
+        meter.add(e - i if pos >= 0 else e)
+    return (pos, i) if i >= 0 else None
 
 
 def _chain_step(host: Word, e: int, ctype: str, params: GroupParams,
@@ -312,42 +297,31 @@ def _chain_step(host: Word, e: int, ctype: str, params: GroupParams,
     {a,b} and the step's type, or _BAD for no RRS.  Otherwise found is
     None and the chain goes on from the state (e_next, type_next).
 
-    Every position it reads lies left of e: the leftward scans start at
-    e - 1, and the distinguished letter pos is found after a name-b
-    letter to its right, so pos <= e - 2 and pos + 1 < e.
+    With no critical suffix, _distinguished scans for the type's _PHASES.
+    When lft and pos + 1 both have name b the chain goes on from lft + 1,
+    else from pos + 1: as {b,c} after {a,b}, and as {a,b} or {a,b,c}, by
+    the {a,b} probe there, after the other two types.
+
+    Every position it reads lies left of e: the scans start at e - 1, and
+    pos is found after a name-b letter to its right, so pos + 1 < e.
     """
-    if ctype == P2G_AB:
-        s0 = shortest_p2g_critical_suffix(host, "ab", params, end=e,
-                                          meter=meter)
-    elif ctype == P2G_BC:
-        s0 = shortest_p2g_critical_suffix(host, "bc", params, end=e,
-                                          meter=meter)
-    else:
+    if ctype == ABC:
         s0 = shortest_abc_critical_suffix(host, params, end=e, meter=meter)
+    else:
+        s0 = shortest_p2g_critical_suffix(host, _PAIRS[ctype], params,
+                                          end=e, meter=meter)
     if s0 is not None:
         return _grow(host, ((s0,), (), ()), e, ctype, params), -1, ""
 
-    if ctype == P2G_AB:
-        pos = _scan_distinguished(host, e - 1, (1, 2), meter)
-        if pos is None:
-            return _NO_RRS
-        lft = _left_neighbour(host, pos, 2, meter)
-        if lft is None:
-            return _NO_RRS
-        if host[lft] % 3 == 1 and host[pos + 1] % 3 == 1:
-            return None, lft + 1, P2G_AB
-        return None, pos + 1, P2G_BC
-
-    phases = (1, 0) if ctype == P2G_BC else (1, 2, 1, 0)
-    pos = _scan_distinguished(host, e - 1, phases, meter)
-    if pos is None:
-        return _NO_RRS
-    lft = _left_neighbour(host, pos, 0, meter)
-    if lft is None:
-        return _NO_RRS
+    scanned = _distinguished(host, e, _PHASES[ctype], meter)
+    if scanned is None:
+        return _BAD, -1, ""
+    pos, lft = scanned
     if host[lft] % 3 == 1 and host[pos + 1] % 3 == 1:
-        return None, lft + 1, P2G_BC
+        return None, lft + 1, P2G_AB if ctype == P2G_AB else P2G_BC
     e_next = pos + 1
+    if ctype == P2G_AB:
+        return None, e_next, P2G_BC
     s1 = shortest_p2g_critical_suffix(host, "ab", params, end=e_next,
                                       meter=meter)
     if s1 is None:
@@ -462,11 +436,11 @@ def find_optimal_rrs(w: Word, x: int, params: GroupParams,
                      meter: Optional[Meter] = None) -> Optional[Rrs]:
     """Search w x for its optimal RRS (w must be in W).
 
-    Implements the right-to-left construction (step 1, the per-step case
-    analysis on the criticality type, and the {a,b}-suffix probe deciding
-    between types {a,b} and {a,b,c}) followed by the checking pass, which
-    derives every u_i by the chain rule and verifies its criticality.
-    Returns None exactly when w x is in W.
+    Step 1, then the right-to-left chain walk of _chain_step, then the
+    checking pass, which verifies every u_i's criticality.  It returns
+    None when w x is in W, but not only then: at n=5 it returns None on
+    the last pushes of bcbccaBcbaBCbA, BcbcAbCBabcba and CBACBcabcbaBCBc
+    (onto their reduced prefixes), which are not geodesics.
 
     The chain walk goes through a ChainMemo, which derives and verifies
     each link u_i as it fills in the slot of the state where u_i ends.

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Optional
 
 from artinword.core import (GroupParams, Word, inverse_letter, invert_word,
                             make_alternating, power_word)
+from artinword.rrs import Meter
 
 # lambda^2 = c0 + c1 * lambda; fold=True when lambda is rational (= 1)
 _LAMBDA_SQ = {3: (1, 0, True), 4: (2, 0, False), 5: (1, 1, False),
@@ -594,6 +595,58 @@ def abc_witness_reference(w: Word, params: GroupParams):
         if witness is not None:
             return witness
     return None
+
+
+# Reference for rrs._distinguished: the chain step's scan as two leftward
+# passes, one for the distinguished letter and one past the letters of
+# skip_name left of it, each metering its own letters.
+
+def _scan_distinguished(host: Word, from_idx: int, phases: tuple[int, ...],
+                        meter: Optional[Meter]) -> Optional[int]:
+    """Scan leftward from from_idx for the distinguished letter.
+
+    phases lists the name indices to satisfy in scan order; the last entry
+    is the distinguished name.  Returns its position, or None at the left
+    end.  E.g. phases (1, 2) = "a name-b letter, then the first name-c".
+    """
+    i = from_idx
+    seen = 0
+    visited = 0
+    while i >= 0:
+        visited += 1
+        if host[i] % 3 == phases[seen]:
+            seen += 1
+            if seen == len(phases):
+                if meter:
+                    meter.add(visited)
+                return i
+        i -= 1
+    if meter:
+        meter.add(visited)
+    return None
+
+
+def _left_neighbour(host: Word, pos: int, skip_name: int,
+                    meter: Optional[Meter]) -> Optional[int]:
+    i = pos - 1
+    visited = 0
+    while i >= 0 and host[i] % 3 == skip_name:
+        i -= 1
+        visited += 1
+    if meter:
+        meter.add(visited + 1)
+    return i if i >= 0 else None
+
+
+def distinguished_reference(host: Word, e: int, phases: tuple[int, ...],
+                            meter: Optional[Meter]):
+    """(pos, lft) or None, as the chain step from the cut e found them:
+    skip_name was c for phases (1, 2) and a for the other two."""
+    pos = _scan_distinguished(host, e - 1, phases, meter)
+    if pos is None:
+        return None
+    lft = _left_neighbour(host, pos, 2 if phases == (1, 2) else 0, meter)
+    return None if lft is None else (pos, lft)
 
 
 def relator_words(n: int) -> list[Word]:

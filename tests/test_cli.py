@@ -91,6 +91,11 @@ class TestExitCodes:
         r = run_cli("reduce", "abd")
         assert r.returncode == 1
         assert "index 2" in r.stderr
+        for text in ("a^\u0663", "a^\u00b2"):
+            r = run_cli("reduce", text)
+            assert r.returncode == 1, text
+            assert "parse error" in r.stderr, text
+            assert "Traceback" not in r.stderr, text
 
     def test_small_n_guard(self):
         r = run_cli("reduce", "abc", "--n", "4")

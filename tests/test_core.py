@@ -113,3 +113,9 @@ class TestParseFormat:
         with pytest.raises(ParseError) as exc:
             P("a^-")
         assert exc.value.position == 1
+        # only ASCII digits make an exponent: "\u0663" is Arabic-Indic
+        # three and "\u00b2" a superscript two, which int() refuses
+        for text in ("a^\u0663", "a^\u00b2", "ba^-\u0663"):
+            with pytest.raises(ParseError, match="malformed exponent") as exc:
+                P(text)
+            assert exc.value.position == text.index("^"), text

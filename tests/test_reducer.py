@@ -125,6 +125,12 @@ CORPUS_DIGEST = (
     "803f7cf667869fe3a2d5ca03e14f9ccda5fe37ffda40529d92924a9513a8f5a2")
 
 
+# (letters, pushes) the Meter counts on the stateless push fold over the
+# corpus below, a fresh Meter per push as in acceptance criterion 9; a
+# change to what the search meters must update it and say why
+CORPUS_METER = (921_008, 7_874)
+
+
 def digest_corpus():
     """(params, word) pairs: raw, positive, freely reduced and relator-pair
     words at n = 5..8, up to 300 letters."""
@@ -152,6 +158,17 @@ class TestIdenticalOutputs:
                 cur, _ = push_letter(cur, x, params)
             assert r == cur, (params.n, F(w))
         assert h.hexdigest() == CORPUS_DIGEST
+
+    def test_corpus_meter(self):
+        letters = pushes = 0
+        for params, w in digest_corpus():
+            cur = ()
+            for x in w:
+                meter = Meter()
+                cur, _ = push_letter(cur, x, params, meter=meter)
+                letters += meter.letters
+                pushes += 1
+        assert (letters, pushes) == CORPUS_METER
 
 
 class TestMemoScope:

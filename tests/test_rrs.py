@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -13,6 +14,8 @@ from artinword.rrs import (
     P2G_AB,
     P2G_BC,
     Meter,
+    _PHASES,
+    _distinguished,
     apply_rrs,
     chain_head,
     check_rrs,
@@ -21,7 +24,8 @@ from artinword.rrs import (
 from artinword.reducer import push_letter
 from artinword.verify import enumerate_all_rrs, is_optimal
 
-from helpers import random_raw_word, random_reduced_word
+from helpers import (distinguished_reference, random_raw_word,
+                     random_reduced_word)
 
 P = parse_word
 F = format_word
@@ -243,6 +247,34 @@ def _abc_chain_word(n, mid, sign):
     tail = make_alternating(2, 1, n - 1, "start")
     w = head + P(mid) + tail[:-1] + (inverse_letter(tail[-1]),)
     return w if sign > 0 else tuple(inverse_letter(l) for l in w)
+
+
+class TestDistinguished:
+    """The chain step's one scan finds the (pos, lft) that its two former
+    scans found, and meters the same letters."""
+
+    @staticmethod
+    def _agree(host, e, phases):
+        got, want = Meter(), Meter()
+        assert (_distinguished(host, e, phases, got)
+                == distinguished_reference(host, e, phases, want)
+                == _distinguished(host, e, phases, None)), (F(host), e)
+        assert got.letters == want.letters, (F(host), e, phases)
+
+    @pytest.mark.parametrize("ctype", CRITICAL_TYPES)
+    def test_short_words(self, ctype):
+        for length in range(6):
+            for host in itertools.product(range(6), repeat=length):
+                for e in range(length + 1):
+                    self._agree(host, e, _PHASES[ctype])
+
+    @pytest.mark.parametrize("ctype", CRITICAL_TYPES)
+    def test_random_hosts(self, ctype):
+        rng = random.Random(67)
+        for _ in range(2000):
+            host = random_raw_word(rng, 40)
+            for e in range(41):
+                self._agree(host, e, _PHASES[ctype])
 
 
 class TestChainRule:
