@@ -84,7 +84,6 @@ def _ur_candidates(w: Word, end: int, params: GroupParams, meter=None,
     if end == 0 or w[end - 1] % 3 != _A_LETTER:
         return out
     scan = P2GSuffixScanner("ab", params)
-    hat = scan.inner
     b_count = 0
     for r0 in range(end - 1, -1, -1):
         l = w[r0]
@@ -98,10 +97,10 @@ def _ur_candidates(w: Word, end: int, params: GroupParams, meter=None,
             continue
         if name == _B_LETTER:
             b_count += 1
-        p, n = hat.pn
+        p, n = scan.pn
         if p + n != 3:
             continue
-        if b_count > 1 and hat.neg_count in (0, hat.count):
+        if b_count > 1 and scan.neg_count in (0, scan.count):
             break
         if name == _A_LETTER:
             u = w[r0:end]
@@ -161,21 +160,29 @@ def _critical_suffixes(w: Word, end: int, params: GroupParams, meter=None):
                 yield s, p_end, cand, scan
 
 
+def _witness(w: Word, s: int, end: int, p_end: int,
+             cand: tuple[int, P2GWitness, BabForm],
+             scan: P2GSuffixScanner) -> AbcWitness:
+    """The witness of w[s:end], from what _critical_suffixes yielded for
+    it, while scan still holds its state at s."""
+    r0, d, bab = cand
+    u_sharp = w[s:r0] + _sharp_tail(d, bab)
+    sw = p2g_witness(scan.state, u_sharp, "bc")
+    # hat(u_sharp) ends in b, so tau of it ends in a name-c letter
+    eps = 1 if tau_last_letter(sw.hat_witness) < 3 else -1
+    return AbcWitness(w[s:end], p_end - s, r0 - s, d, bab, u_sharp, sw, eps,
+                      sw.alpha, d.beta)
+
+
 def is_abc_critical(w: Word, params: GroupParams) -> Optional[AbcWitness]:
     """Witness iff w is critical of type {a,b,c}.
 
     Candidate u_r suffixes are tried shortest first, which maximizes u_q
     and gives condition (iv) the most room; the first full witness wins.
     """
-    for s, p_end, (r0, d, bab), scan in _critical_suffixes(w, len(w), params):
-        if s:
-            continue
-        u_sharp = w[:r0] + _sharp_tail(d, bab)
-        sw = p2g_witness(scan, u_sharp, "bc")
-        # hat(u_sharp) ends in b, so tau of it ends in a name-c letter
-        eps = 1 if tau_last_letter(sw.hat_witness) < 3 else -1
-        return AbcWitness(w, p_end, r0, d, bab, u_sharp, sw, eps, sw.alpha,
-                          d.beta)
+    for s, *found in _critical_suffixes(w, len(w), params):
+        if not s:
+            return _witness(w, 0, len(w), *found)
     return None
 
 
@@ -192,8 +199,10 @@ def tau_abc(witness: AbcWitness, params: GroupParams) -> Word:
 
 def shortest_abc_critical_suffix(w: Word, params: GroupParams,
                                  end: Optional[int] = None,
-                                 meter=None) -> Optional[int]:
-    """Start index of the shortest {a,b,c}-critical suffix of w[:end]."""
-    suffixes = _critical_suffixes(w, len(w) if end is None else end, params,
-                                  meter)
-    return next((s for s, *_ in suffixes), None)
+                                 meter=None) -> Optional[AbcWitness]:
+    """The witness of the shortest {a,b,c}-critical suffix of w[:end], or
+    None; the suffix starts at end - len(witness.word)."""
+    end = len(w) if end is None else end
+    for s, *found in _critical_suffixes(w, end, params, meter):
+        return _witness(w, s, end, *found)
+    return None

@@ -1,10 +1,12 @@
 """Two-generator machinery for the dihedral Artin subgroups <x, y>.
 
-Covers the suffix scanner, which alone computes alternation runs and
-decides criticality, the geodesic criterion and critical-word check it
-gives on whole words, tau rewriting, the shortest-critical-suffix scan,
-and to_bab_form, which reads the b^i a^j b^k form that tau-moves give an
-{a,b}-word off its name runs: only 3- and 5-run words have one.
+Covers the scan kernel scan_letters, which alone computes alternation
+runs and decides criticality, 2-generator and P2G alike, and its
+one-letter-per-feed wrapper CriticalSuffixScanner; the geodesic
+criterion and critical-word check it gives on whole words, tau
+rewriting, the shortest-critical-suffix scan, and to_bab_form, which
+reads the b^i a^j b^k form that tau-moves give an {a,b}-word off its name
+runs: only 3- and 5-run words have one.
 
 A word over a pair {x, y} with relation length m is *critical* when
 p + n = m (p and n are the longest positive / negative alternating
@@ -72,14 +74,11 @@ def _scan(w: Word, pair: str, params: GroupParams) -> CriticalSuffixScanner:
     """The scanner fed w right to left, up to its first letter or until it
     dies; raises ValueError on letters outside the pair."""
     scan = CriticalSuffixScanner(pair, params)
-    feed = scan.feed
-    for l in reversed(w):
-        feed(l)
-        if scan.dead:
-            # only a dead scan can have met, or stopped short of, a letter
-            # outside the pair
-            _check_pair(w, pair)
-            break
+    scan.state = st = scan_word(scan.state, w)
+    if st[0]:
+        # only a dead scan can have met, or stopped short of, a letter
+        # outside the pair
+        _check_pair(w, pair)
     return scan
 
 
@@ -96,18 +95,17 @@ def is_critical_2gen(w: Word, pair: str, params: GroupParams,
     Unreduced or empty words are never critical; letters outside the
     pair raise ValueError.  Linear time.
     """
-    return scanner_witness(_scan(w, pair, params), w, pair)
+    return state_witness(_scan(w, pair, params).state, w, pair)
 
 
-def scanner_witness(scan: CriticalSuffixScanner, w: Word, pair: str,
-                    ) -> Optional[TwoGenCriticalWitness]:
-    """The witness of w, the whole word scan was fed right to left, or
-    None when its last feed was not critical."""
-    shape = scan.shape
+def state_witness(st: tuple, w: Word, pair: str,
+                  ) -> Optional[TwoGenCriticalWitness]:
+    """The witness of w, the hat of the word whose scan left the state st
+    (w itself for a 2-generator scan), or None when st has no shape."""
+    shape, m, raw_p, raw_n = st[2], st[20], st[7], st[8]
     if shape is None:
         return None
-    m = scan.m
-    p, n = scan.pn
+    p, n = min(raw_p, m), min(raw_n, m)
     if shape in (POSITIVE_LEFT, NEGATIVE_LEFT):
         lead, trail = m, 0
     elif shape in (POSITIVE_RIGHT, NEGATIVE_RIGHT):
@@ -116,7 +114,7 @@ def scanner_witness(scan: CriticalSuffixScanner, w: Word, pair: str,
         lead, trail = p, n
     else:
         lead, trail = n, p
-    pr = AlternationProfile(p, n, m, scan.raw_p, scan.raw_n)
+    pr = AlternationProfile(p, n, m, raw_p, raw_n)
     return TwoGenCriticalWitness(w, pair, shape, pr, lead, trail)
 
 
@@ -243,124 +241,169 @@ def to_bab_form(v: Word, params: GroupParams) -> Optional[BabForm]:
     return None
 
 
-# the letter names of each generator pair
-_PAIR_NAMES = {pair: frozenset((ord(pair[0]) - 97, ord(pair[1]) - 97))
-               for pair in ("ab", "ac", "bc")}
+# The state of a scan is one flat tuple, which scan_letters holds in
+# locals: its verdict (dead, critical, shape), the alternation runs of
+# the hat (count .. g_neg), the P2G structure (in_tail .. run_z), and the
+# constants m, names (the pair's), x and z (both -1 for a 2-generator
+# scan).  The start states, built on first use:
+_STARTS: dict = {}
+
+
+def scan_start(pair: str, params: GroupParams, p2g: bool = False) -> tuple:
+    """The state of a scan over the pair that has been fed nothing: a
+    2-generator scan, or with p2g a P2G scan, whose z is the third name
+    and x the pair's name other than b.  Built once per (pair, n)."""
+    key = (pair, params.n, p2g)
+    st = _STARTS.get(key)
+    if st is None:
+        names = frozenset((ord(pair[0]) - 97, ord(pair[1]) - 97))
+        z = 3 - sum(names) if p2g else -1
+        x = 2 - z if p2g else -1
+        st = _STARTS[key] = (False, False, None, 0, -1, -1, 0, 0, 0, 0, 0,
+                             0, 0, 0, 0, 0, True, False, 0, 0,
+                             params.m(pair), names, x, z)
+    return st
+
+
+def scan_letters(st: tuple, w: Word, i: int) -> tuple[int, tuple]:
+    """Feed w[i-1], w[i-2], ..., w[0] to the scan in state st, right to
+    left, and stop after the first letter that leaves the scan critical
+    or dead.  Returns (j, state): j is the index of the last letter fed
+    (i when none was).  O(1) work per letter.
+
+    This is the one place that computes alternation runs and decides
+    criticality.  The word fed so far is critical when its hat is: p + n
+    = m (p, n its longest positive and negative alternating runs, capped
+    at m), with maximal alternating blocks at its ends in one of the six
+    witness shapes.  A P2G scan also keeps the z-letters to the outer
+    blocks (the trailing run of names {x, z} when the word ends in name
+    x, else of name b, and the like run at the left end), with one sign
+    in each; a word whose first letter has name z is not critical.  The
+    scan goes dead once no longer suffix can be critical: a cancelling
+    pair in the hat, p + n past m, a letter outside the pair and z, a
+    z-letter first fed, two z-signs in one outer block (a cancelling zZ
+    among them), or a z-letter left stranded between two b-letters.
+    """
+    (dead, critical, shape, count, hprev, last, lead, raw_p, raw_n, full_p,
+     full_n, neg, trail_pos, trail_neg, g_pos, g_neg, in_tail, tail_xz,
+     tail_z, run_z, m, names, x, z) = st
+    while i and not dead:
+        i -= 1
+        l = w[i]
+        name = l % 3
+        if name == z:
+            # one z-sign per outer block: the trailing one, else the leading
+            sign = 1 if l < 3 else -1
+            if in_tail and tail_xz:
+                dead = tail_z == -sign
+                tail_z = sign
+            else:
+                in_tail = False
+                dead = not count or run_z == -sign
+                run_z = sign
+            critical = False
+            continue
+        if not count:
+            tail_xz = name == x
+            last = l
+        if not in_tail or (name == 1) == tail_xz:
+            in_tail = False
+            dead = name == 1 and run_z != 0
+        if dead or hprev == (l + 3) % 6 or name not in names:
+            dead = True
+            break
+        positive = l < 3
+        if count and (hprev < 3) == positive and hprev % 3 != name:
+            lead += 1
+        else:
+            lead = 1
+        if positive:
+            if count == trail_pos and (count == 0 or hprev % 3 != name):
+                trail_pos += 1
+            if lead > raw_p:
+                raw_p = lead
+                if lead == m:
+                    full_p = count + 1
+        else:
+            if count == trail_neg and (count == 0 or hprev % 3 != name):
+                trail_neg += 1
+            if lead > raw_n:
+                raw_n = lead
+                if lead == m:
+                    full_n = count + 1
+            neg += 1
+        count += 1
+        if count > m:
+            clip = lead if lead < count - m else count - m
+            if positive:
+                if clip > g_pos:
+                    g_pos = clip
+            elif clip > g_neg:
+                g_neg = clip
+        hprev = l
+        p = raw_p if raw_p < m else m
+        n = raw_n if raw_n < m else m
+        shape = None
+        # a left-end block of m letters is a witness's only if the word
+        # right of it (the first count - m letters fed) has p or n < m
+        if p + n != m:
+            dead = p + n > m
+        elif neg == 0:
+            if lead == m and full_p > count - m:
+                shape = POSITIVE_LEFT
+            elif count > m and trail_pos == m and g_pos < m:
+                shape = POSITIVE_RIGHT
+        elif neg == count:
+            if lead == m and full_n > count - m:
+                shape = NEGATIVE_LEFT
+            elif count > m and trail_neg == m and g_neg < m:
+                shape = NEGATIVE_RIGHT
+        elif positive:
+            if last >= 3 and lead == p and trail_neg == n:
+                shape = UNSIGNED_POS_NEG
+        elif last < 3 and lead == n and trail_pos == p:
+            shape = UNSIGNED_NEG_POS
+        critical = shape is not None
+        if critical:
+            break
+    if dead:
+        critical, shape = False, None
+    return i, (dead, critical, shape, count, hprev, last, lead, raw_p, raw_n,
+               full_p, full_n, neg, trail_pos, trail_neg, g_pos, g_neg,
+               in_tail, tail_xz, tail_z, run_z, m, names, x, z)
+
+
+def scan_word(st: tuple, w: Word) -> tuple:
+    """The state st after feeding it w right to left, up to its death."""
+    i = len(w)
+    while i and not st[0]:
+        i, st = scan_letters(st, w, i)
+    return st
 
 
 class CriticalSuffixScanner:
-    """Incremental criticality test for the suffixes of a fixed word: the
-    one place that computes alternation runs and decides criticality.
+    """scan_letters one letter per feed, right to left: after each feed,
+    critical tells whether the word fed so far is critical, and shape
+    names the witness shape that fired (None when not critical)."""
 
-    Letters are fed right to left (the first letter fed is the word's last
-    letter); after each feed, critical tells whether the word fed so far
-    is critical, and shape names the witness shape that fired (None when
-    not critical).  O(1) work and O(1) state per feed.  The scanner goes
-    dead once no longer suffix can be critical (p+n passed m, a letter
-    outside the pair, or a cancelling pair).  Feeding a whole word this
-    way gives the whole-word checkers above.
-    """
-
-    __slots__ = ("m", "allowed", "count", "dead", "critical", "shape",
-                 "prev", "last", "lead_len", "raw_p", "raw_n", "full_p",
-                 "full_n", "neg_count", "trail_pos", "trail_neg", "g_pos",
-                 "g_neg")
+    __slots__ = ("state",)
 
     def __init__(self, pair: str, params: GroupParams):
-        self.m = params.m(pair)
-        self.allowed = _PAIR_NAMES[pair]
-        self.count = 0
-        self.dead = False
-        self.critical = False
-        self.shape: Optional[str] = None
-        self.prev = -1           # most recently fed letter
-        self.last = -1           # first letter fed = last letter of word
-        self.lead_len = 0        # alternating same-sign run at the left end
-        self.raw_p = 0
-        self.raw_n = 0
-        self.full_p = 0          # feed count at which raw_p reached m
-        self.full_n = 0
-        self.neg_count = 0
-        self.trail_pos = 0       # alternating runs anchored at the right end
-        self.trail_neg = 0
-        self.g_pos = 0           # max run length clipped to >= m from the end
-        self.g_neg = 0
+        self.state = scan_start(pair, params)
 
     def feed(self, l: Letter) -> None:
-        if self.dead:
-            return
-        prev = self.prev
-        name = l % 3
-        if name not in self.allowed or prev == (l + 3) % 6:
-            self.dead = True
-            self.critical = False
-            self.shape = None
-            return
-        k = self.count
-        m = self.m
-        if k == 0:
-            self.last = l
-        positive = l < 3
-        if k and (prev < 3) == positive and prev % 3 != name:
-            lead = self.lead_len + 1
-        else:
-            lead = 1
-        self.lead_len = lead
-        if positive:
-            if k == self.trail_pos and (k == 0 or prev % 3 != name):
-                self.trail_pos += 1
-            if lead > self.raw_p:
-                self.raw_p = lead
-                if lead == m:
-                    self.full_p = k + 1
-        else:
-            if k == self.trail_neg and (k == 0 or prev % 3 != name):
-                self.trail_neg += 1
-            if lead > self.raw_n:
-                self.raw_n = lead
-                if lead == m:
-                    self.full_n = k + 1
-            self.neg_count += 1
-        length = self.count = k + 1
-        if length > m:
-            clip = min(lead, length - m)
-            if positive:
-                if clip > self.g_pos:
-                    self.g_pos = clip
-            elif clip > self.g_neg:
-                self.g_neg = clip
-        self.prev = l
-        p = self.raw_p if self.raw_p < m else m
-        n = self.raw_n if self.raw_n < m else m
-        shape = None
-        neg = self.neg_count
-        # a left-end block of m letters is a witness's only if the word
-        # right of it (the first length - m letters fed) has p or n < m
-        if p + n != m:
-            self.dead = p + n > m
-        elif neg == 0:
-            if lead == m and self.full_p > length - m:
-                shape = POSITIVE_LEFT
-            elif length > m and self.trail_pos == m and self.g_pos < m:
-                shape = POSITIVE_RIGHT
-        elif neg == length:
-            if lead == m and self.full_n > length - m:
-                shape = NEGATIVE_LEFT
-            elif length > m and self.trail_neg == m and self.g_neg < m:
-                shape = NEGATIVE_RIGHT
-        elif positive:
-            if self.last >= 3 and lead == p and self.trail_neg == n:
-                shape = UNSIGNED_POS_NEG
-        elif self.last < 3 and lead == n and self.trail_pos == p:
-            shape = UNSIGNED_NEG_POS
-        self.shape = shape
-        self.critical = shape is not None
+        self.state = scan_letters(self.state, (l,), 1)[1]
 
-    @property
-    def pn(self) -> tuple[int, int]:
-        """(p, n) of the word fed so far, each capped at m."""
-        m = self.m
-        return min(self.raw_p, m), min(self.raw_n, m)
+    dead = property(lambda self: self.state[0])
+    critical = property(lambda self: self.state[1])
+    shape = property(lambda self: self.state[2])
+    count = property(lambda self: self.state[3])
+    raw_p = property(lambda self: self.state[7])
+    raw_n = property(lambda self: self.state[8])
+    neg_count = property(lambda self: self.state[11])
+    # (p, n) of the word fed so far (of its hat), each capped at m
+    pn = property(lambda self: (min(self.state[7], self.state[20]),
+                                min(self.state[8], self.state[20])))
 
 
 def shortest_critical_suffix_2gen(w: Word, pair: str, params: GroupParams,
@@ -370,13 +413,6 @@ def shortest_critical_suffix_2gen(w: Word, pair: str, params: GroupParams,
 
     Scans right to left and stops as soon as no longer suffix can qualify.
     """
-    if end is None:
-        end = len(w)
-    scan = CriticalSuffixScanner(pair, params)
-    for s in range(end - 1, -1, -1):
-        scan.feed(w[s])
-        if scan.critical:
-            return s
-        if scan.dead:
-            return None
-    return None
+    s, st = scan_letters(scan_start(pair, params), w,
+                         len(w) if end is None else end)
+    return s if st[1] else None

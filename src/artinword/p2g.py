@@ -7,7 +7,8 @@ critical exactly when its hat is a critical 2-generator word, and then
 
     tau(u) = z^alpha  tau(hat)  z^beta
 
-with alpha/beta the z-exponents of the outer blocks.
+with alpha/beta the z-exponents of the outer blocks.  A P2G scan is
+dihedral.scan_letters from a P2G start state.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from .dihedral import (
     CriticalSuffixScanner,
     TwoGenCriticalWitness,
     is_critical_2gen,
-    scanner_witness,
+    scan_letters,
+    scan_start,
+    scan_word,
+    state_witness,
     tau_2gen,
 )
 
@@ -113,24 +117,18 @@ def decompose_p2g(w: Word, pair: str, params: GroupParams,
 
 def is_p2g_critical(w: Word, pair: str, params: GroupParams,
                     ) -> Optional[P2GWitness]:
-    """Witness iff w is a P2G-critical word of the given type: one
-    P2GSuffixScanner fed w right to left decides, and its hat scanner's
-    end state gives the hat's witness."""
+    """Witness iff w is a P2G-critical word of the given type: one P2G
+    scan of w, right to left, decides, and its end state gives the hat's
+    witness."""
     _check_type(pair)
-    scan = P2GSuffixScanner(pair, params)
-    feed = scan.feed
-    for l in reversed(w):
-        feed(l)
-        if scan.dead:
-            return None
-    return p2g_witness(scan, w, pair) if scan.critical else None
+    st = scan_word(scan_start(pair, params, p2g=True), w)
+    return p2g_witness(st, w, pair) if st[1] else None
 
 
-def p2g_witness(scan: P2GSuffixScanner, w: Word, pair: str) -> P2GWitness:
-    """The witness of w, fed right to left to scan, which found it critical."""
+def p2g_witness(st: tuple, w: Word, pair: str) -> P2GWitness:
+    """The witness of w, whose P2G scan left the critical state st."""
     blocks = outer_blocks(w, pair)
-    return P2GWitness(w, pair, *blocks,
-                      scanner_witness(scan.inner, blocks[4], pair))
+    return P2GWitness(w, pair, *blocks, state_witness(st, blocks[4], pair))
 
 
 def tau_p2g(witness: P2GWitness, params: GroupParams) -> Word:
@@ -143,92 +141,32 @@ def tau_p2g(witness: P2GWitness, params: GroupParams) -> Word:
             + power_word(z, witness.beta))
 
 
-class P2GSuffixScanner:
-    """Incremental P2G-criticality test for suffixes of a fixed word.
+class P2GSuffixScanner(CriticalSuffixScanner):
+    """A P2G scan, one letter per feed: after each feed, critical tells
+    whether the word fed so far is P2G-critical, and the other fields
+    are those of its hat."""
 
-    Letters are fed right to left; after each feed, critical tells
-    whether the word fed so far is P2G-critical.  Structural state tracks
-    the trailing block, confinement of the commuting generator z to the
-    outer blocks, and z-sign uniformity; a 2-generator scanner consumes
-    the hat subsequence.
-    """
-
-    __slots__ = ("x_idx", "z_idx", "inner", "dead", "critical", "prev",
-                 "in_tail", "tail_is_xz", "tail_z_sign", "run_z",
-                 "run_z_sign")
+    __slots__ = ()
 
     def __init__(self, pair: str, params: GroupParams):
-        self.x_idx, self.z_idx = _XZ[pair]
-        self.inner = CriticalSuffixScanner(pair, params)
-        self.dead = False
-        self.critical = False
-        self.prev = -1            # -1 until the first feed
-        self.in_tail = True
-        self.tail_is_xz = False
-        self.tail_z_sign = 0
-        self.run_z = 0            # z-letters in the current leading xz-run
-        self.run_z_sign = 0
+        _check_type(pair)
+        self.state = scan_start(pair, params, p2g=True)
 
     def feed(self, l: Letter) -> None:
-        if self.dead:
-            return
-        self.critical = False
-        name = l % 3
-        z_idx = self.z_idx
-        if self.prev == (l + 3) % 6:
-            self.dead = True
-            return
-        if self.prev == -1:
-            if name == z_idx:
-                self.dead = True    # l(u) must be a pseudo-generator
-                return
-            self.tail_is_xz = name == self.x_idx
-        if self.in_tail and (name == 1) != self.tail_is_xz:
-            if name == z_idx:
-                sgn = 1 if l < 3 else -1
-                if self.tail_z_sign == 0:
-                    self.tail_z_sign = sgn
-                elif self.tail_z_sign != sgn:
-                    self.dead = True
-                    return
-        else:
-            self.in_tail = False
-            if name == 1:
-                if self.run_z:
-                    self.dead = True    # stranded z between two b-letters
-                    return
-                self.run_z_sign = 0
-            elif name == z_idx:
-                sgn = 1 if l < 3 else -1
-                if self.run_z and self.run_z_sign != sgn:
-                    self.dead = True
-                    return
-                self.run_z += 1
-                self.run_z_sign = sgn
-        if name != z_idx:           # else l(u) is no pseudo-generator
-            inner = self.inner
-            inner.feed(l)
-            if inner.dead:
-                self.dead = True
-                return
-            self.critical = inner.critical
-        self.prev = l
+        # through this module's name CriticalSuffixScanner, where
+        # benchmark/tracing.py counts the feeds of the scan kernel
+        CriticalSuffixScanner.feed(self, l)
 
 
 def shortest_p2g_critical_suffix(w: Word, pair: str, params: GroupParams,
                                  end: Optional[int] = None,
-                                 meter=None) -> Optional[int]:
-    """Start index of the shortest P2G-critical suffix of w[:end], or None."""
+                                 meter=None) -> Optional[P2GWitness]:
+    """The witness of the shortest P2G-critical suffix of w[:end], or
+    None; the suffix starts at end - len(witness.word).  One P2G scan,
+    one metered letter per letter fed."""
     _check_type(pair)
-    if end is None:
-        end = len(w)
-    scan = P2GSuffixScanner(pair, params)
-    s = end
-    while s > 0:
-        s -= 1
-        scan.feed(w[s])
-        if scan.critical or scan.dead:
-            break
+    end = len(w) if end is None else end
+    s, st = scan_letters(scan_start(pair, params, p2g=True), w, end)
     if meter:
         meter.add(end - s)
-    return s if scan.critical else None
+    return p2g_witness(st, w[s:end], pair) if st[1] else None

@@ -286,57 +286,69 @@ def _distinguished(host: Word, e: int, phases: tuple[int, ...],
     return (pos, i) if i >= 0 else None
 
 
+def _first_link(e: int, ctype: str, wit: Witness) -> tuple:
+    """The slot of the state (e, ctype) whose u_1 = w_1 is the critical
+    suffix of host[:e] that a suffix scan found, with its witness."""
+    return (e - len(wit.word), e), (ctype,), ((ctype, wit.word, wit),)
+
+
 def _chain_step(host: Word, e: int, ctype: str, params: GroupParams,
-                meter: Optional[Meter], memo: ChainMemo,
-                ) -> tuple[object, int, str]:
+                meter: Optional[Meter], memo: ChainMemo, scanned: bool,
+                ) -> tuple[object, int, str, bool]:
     """The chain step from the state (e, ctype); it reads host[:e] only.
 
-    Returns (found, e_next, type_next).  found is the state's slot when
-    the chain ends there: a critical suffix host[start:e] of the step's
-    type, the pair terminal host[start:e_next] host[e_next:e] of types
-    {a,b} and the step's type, or _BAD for no RRS.  Otherwise found is
-    None and the chain goes on from the state (e_next, type_next).
+    Returns (found, e_next, type_next, scanned_next).  found is the
+    state's slot when the chain ends there: a critical suffix
+    host[start:e] of the step's type, the pair terminal
+    host[start:e_next] host[e_next:e] of types {a,b} and the step's
+    type, or _BAD for no RRS.  Otherwise found is None and the chain goes
+    on from the state (e_next, type_next).  scanned tells that the
+    state's suffix scan has already been made and found nothing, and
+    scanned_next the same of the next state.
 
     With no critical suffix, _distinguished scans for the type's _PHASES.
     When lft and pos + 1 both have name b the chain goes on from lft + 1,
     else from pos + 1: as {b,c} after {a,b}, and as {a,b} or {a,b,c}, by
-    the {a,b} probe there, after the other two types.
+    the {a,b} probe there, after the other two types.  The probe is the
+    suffix scan of the state (e_next, p2g-ab), so when it finds nothing
+    that state does not scan again.
 
     Every position it reads lies left of e: the scans start at e - 1, and
     pos is found after a name-b letter to its right, so pos + 1 < e.
     """
-    if ctype == ABC:
-        s0 = shortest_abc_critical_suffix(host, params, end=e, meter=meter)
-    else:
-        s0 = shortest_p2g_critical_suffix(host, _PAIRS[ctype], params,
-                                          end=e, meter=meter)
-    if s0 is not None:
-        return _grow(host, ((s0,), (), ()), e, ctype, params), -1, ""
+    if not scanned:
+        if ctype == ABC:
+            wit = shortest_abc_critical_suffix(host, params, end=e,
+                                               meter=meter)
+        else:
+            wit = shortest_p2g_critical_suffix(host, _PAIRS[ctype], params,
+                                               end=e, meter=meter)
+        if wit is not None:
+            return _first_link(e, ctype, wit), -1, "", False
 
-    scanned = _distinguished(host, e, _PHASES[ctype], meter)
-    if scanned is None:
-        return _BAD, -1, ""
-    pos, lft = scanned
+    dist = _distinguished(host, e, _PHASES[ctype], meter)
+    if dist is None:
+        return _BAD, -1, "", False
+    pos, lft = dist
     if host[lft] % 3 == 1 and host[pos + 1] % 3 == 1:
-        return None, lft + 1, P2G_AB if ctype == P2G_AB else P2G_BC
+        return None, lft + 1, P2G_AB if ctype == P2G_AB else P2G_BC, False
     e_next = pos + 1
     if ctype == P2G_AB:
-        return None, e_next, P2G_BC
-    s1 = shortest_p2g_critical_suffix(host, "ab", params, end=e_next,
-                                      meter=meter)
-    if s1 is None:
-        return None, e_next, P2G_AB
-    # host[s1:e_next] is u_1 of the state (e_next, p2g-ab), whose step is
-    # this very suffix, so the pair's u_1 is that state's slot
+        return None, e_next, P2G_BC, False
+    wit = shortest_p2g_critical_suffix(host, "ab", params, end=e_next,
+                                       meter=meter)
+    if wit is None:
+        return None, e_next, P2G_AB, True
+    # wit is u_1 of the state (e_next, p2g-ab), whose step is this very
+    # suffix, so the pair's u_1 is that state's slot
     left = memo.get(e_next, P2G_AB)
     if left is None:
-        left = _grow(host, ((s1,), (), ()), e_next, P2G_AB, params)
+        left = _first_link(e_next, P2G_AB, wit)
         memo.put(e_next, P2G_AB, left)
-    if left is not _BAD:
-        found = _grow(host, left, e, ctype, params)
-        if found is not _BAD:
-            return found, -1, ""
-    return None, e_next, ABC
+    found = _grow(host, left, e, ctype, params)
+    if found is not _BAD:
+        return found, -1, "", False
+    return None, e_next, ABC, False
 
 
 class ChainMemo:
@@ -374,12 +386,13 @@ class ChainMemo:
         the slots of the states passed are then filled in from the left,
         deriving and checking each one's link on the way."""
         passed = []
+        scanned = False
         while True:
             found = self.get(e, ctype)
             if found is not None:
                 break
-            found, e_next, type_next = _chain_step(host, e, ctype, params,
-                                                   meter, self)
+            found, e_next, type_next, scanned = _chain_step(
+                host, e, ctype, params, meter, self, scanned)
             if found is not None:
                 self.put(e, ctype, found)
                 break
@@ -391,26 +404,18 @@ class ChainMemo:
             self.put(e, ctype, found)
         return found
 
-    def rebase(self, word: Word) -> None:
-        """Move to word, the result of a push on the current word, keeping
-        the states on the prefix the two share: those up to the first
-        rewritten position.  A word one letter longer was appended to,
-        as an RRS push shortens the word, so every state is kept."""
+    def rebase(self, word: Word, cut: int) -> None:
+        """Move to word, the result of a push on the current word that
+        left its first cut letters as they were, keeping the states on the
+        prefix the two share: those up to the first rewritten position,
+        found by comparing on from cut."""
         old = self.word
-        if len(word) != len(old) + 1:
+        if cut < len(old):
             k = min(len(old), len(word))
-            if old[:k] != word[:k]:
-                # old[:lo] == word[:lo] and old[:k] != word[:k]: halve
-                lo = 0
-                while k - lo > 1:
-                    mid = (lo + k) // 2
-                    if old[lo:mid] == word[lo:mid]:
-                        lo = mid
-                    else:
-                        k = mid
-                k = lo
+            while cut < k and old[cut] == word[cut]:
+                cut += 1
             for known in self.states.values():
-                del known[k + 1:]
+                del known[cut + 1:]
         self.word = word
 
 
@@ -421,8 +426,9 @@ _active = threading.local()
 @contextmanager
 def chain_memo(word: Word) -> Iterator[ChainMemo]:
     """Share verified chain walks between the find_optimal_rrs calls made
-    inside the block, starting from word.  The caller rebases the memo onto each
-    new word; a call on any other word gets a fresh memo."""
+    inside the block, starting from word.  Each push on the memo's word
+    rebases the memo onto its result (rebase_memo); a call on any other
+    word gets a fresh memo."""
     memo = ChainMemo(word)
     outer = getattr(_active, "memo", None)
     _active.memo = memo
@@ -430,6 +436,14 @@ def chain_memo(word: Word) -> Iterator[ChainMemo]:
         yield memo
     finally:
         _active.memo = outer
+
+
+def rebase_memo(w: Word, word: Word, cut: int) -> None:
+    """Rebase the memo of the block running in this thread, if it is on w,
+    onto word, the result of a push on w that kept w[:cut]."""
+    memo = getattr(_active, "memo", None)
+    if memo is not None and memo.word is w:
+        memo.rebase(word, cut)
 
 
 def find_optimal_rrs(w: Word, x: int, params: GroupParams,
@@ -450,7 +464,7 @@ def find_optimal_rrs(w: Word, x: int, params: GroupParams,
     taking chain steps only until a state whose slot is known.  A chain
     with a link that is not critical ends the search with None at once;
     otherwise check_rrs gets the verified links and checks only the cuts
-    and u_{m+1}.  The block rebases the memo after every push, which
+    and u_{m+1}.  Each push_letter on the memo's word rebases it, which
     drops the states from the first rewritten position on.  Any other
     call, or a call on a word other than the memo's, starts with an empty
     memo.
@@ -468,6 +482,9 @@ def find_optimal_rrs(w: Word, x: int, params: GroupParams,
     if j == 0:
         return None
     if w[j - 1] == inv_x:
+        if j == L:
+            # w ends in x^-1: the free cancellation, which needs no check
+            return Rrs(host, (j - 1, j), (), ((None, (inv_x,), None),))
         # m = 0; keep w_{m+1} clear of f(gamma) by cutting at the first x
         e = j
         while e < L and w[e] != x:

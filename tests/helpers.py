@@ -19,8 +19,11 @@ import random
 from collections import deque
 from typing import Iterable, Iterator, Optional
 
-from artinword.core import (GroupParams, Word, inverse_letter, invert_word,
-                            make_alternating, power_word)
+from artinword.core import (GroupParams, Letter, Word, inverse_letter,
+                            invert_word, make_alternating, power_word)
+from artinword.dihedral import (NEGATIVE_LEFT, NEGATIVE_RIGHT, POSITIVE_LEFT,
+                                POSITIVE_RIGHT, UNSIGNED_NEG_POS,
+                                UNSIGNED_POS_NEG)
 from artinword.rrs import Meter
 
 # lambda^2 = c0 + c1 * lambda; fold=True when lambda is rational (= 1)
@@ -647,6 +650,225 @@ def distinguished_reference(host: Word, e: int, phases: tuple[int, ...],
         return None
     lft = _left_neighbour(host, pos, 2 if phases == (1, 2) else 0, meter)
     return None if lft is None else (pos, lft)
+
+
+# The scanners as they were before the scan kernel, one object per scan
+# and one feed per letter, the P2G scanner feeding its hat to an inner
+# 2-generator scanner: the reference that dihedral.scan_letters and its
+# wrappers are tested against, copied verbatim.
+
+# the letter names of each generator pair
+_PAIR_NAMES = {pair: frozenset((ord(pair[0]) - 97, ord(pair[1]) - 97))
+               for pair in ("ab", "ac", "bc")}
+# (x, z) name indices of each pair: its non-b name and the commuting one
+_XZ = {"ab": (0, 2), "bc": (2, 0)}
+
+
+class CriticalSuffixScanner:
+    """Incremental criticality test for the suffixes of a fixed word: the
+    one place that computes alternation runs and decides criticality.
+
+    Letters are fed right to left (the first letter fed is the word's last
+    letter); after each feed, critical tells whether the word fed so far
+    is critical, and shape names the witness shape that fired (None when
+    not critical).  O(1) work and O(1) state per feed.  The scanner goes
+    dead once no longer suffix can be critical (p+n passed m, a letter
+    outside the pair, or a cancelling pair).  Feeding a whole word this
+    way gives the whole-word checkers above.
+    """
+
+    __slots__ = ("m", "allowed", "count", "dead", "critical", "shape",
+                 "prev", "last", "lead_len", "raw_p", "raw_n", "full_p",
+                 "full_n", "neg_count", "trail_pos", "trail_neg", "g_pos",
+                 "g_neg")
+
+    def __init__(self, pair: str, params: GroupParams):
+        self.m = params.m(pair)
+        self.allowed = _PAIR_NAMES[pair]
+        self.count = 0
+        self.dead = False
+        self.critical = False
+        self.shape: Optional[str] = None
+        self.prev = -1           # most recently fed letter
+        self.last = -1           # first letter fed = last letter of word
+        self.lead_len = 0        # alternating same-sign run at the left end
+        self.raw_p = 0
+        self.raw_n = 0
+        self.full_p = 0          # feed count at which raw_p reached m
+        self.full_n = 0
+        self.neg_count = 0
+        self.trail_pos = 0       # alternating runs anchored at the right end
+        self.trail_neg = 0
+        self.g_pos = 0           # max run length clipped to >= m from the end
+        self.g_neg = 0
+
+    def feed(self, l: Letter) -> None:
+        if self.dead:
+            return
+        prev = self.prev
+        name = l % 3
+        if name not in self.allowed or prev == (l + 3) % 6:
+            self.dead = True
+            self.critical = False
+            self.shape = None
+            return
+        k = self.count
+        m = self.m
+        if k == 0:
+            self.last = l
+        positive = l < 3
+        if k and (prev < 3) == positive and prev % 3 != name:
+            lead = self.lead_len + 1
+        else:
+            lead = 1
+        self.lead_len = lead
+        if positive:
+            if k == self.trail_pos and (k == 0 or prev % 3 != name):
+                self.trail_pos += 1
+            if lead > self.raw_p:
+                self.raw_p = lead
+                if lead == m:
+                    self.full_p = k + 1
+        else:
+            if k == self.trail_neg and (k == 0 or prev % 3 != name):
+                self.trail_neg += 1
+            if lead > self.raw_n:
+                self.raw_n = lead
+                if lead == m:
+                    self.full_n = k + 1
+            self.neg_count += 1
+        length = self.count = k + 1
+        if length > m:
+            clip = min(lead, length - m)
+            if positive:
+                if clip > self.g_pos:
+                    self.g_pos = clip
+            elif clip > self.g_neg:
+                self.g_neg = clip
+        self.prev = l
+        p = self.raw_p if self.raw_p < m else m
+        n = self.raw_n if self.raw_n < m else m
+        shape = None
+        neg = self.neg_count
+        # a left-end block of m letters is a witness's only if the word
+        # right of it (the first length - m letters fed) has p or n < m
+        if p + n != m:
+            self.dead = p + n > m
+        elif neg == 0:
+            if lead == m and self.full_p > length - m:
+                shape = POSITIVE_LEFT
+            elif length > m and self.trail_pos == m and self.g_pos < m:
+                shape = POSITIVE_RIGHT
+        elif neg == length:
+            if lead == m and self.full_n > length - m:
+                shape = NEGATIVE_LEFT
+            elif length > m and self.trail_neg == m and self.g_neg < m:
+                shape = NEGATIVE_RIGHT
+        elif positive:
+            if self.last >= 3 and lead == p and self.trail_neg == n:
+                shape = UNSIGNED_POS_NEG
+        elif self.last < 3 and lead == n and self.trail_pos == p:
+            shape = UNSIGNED_NEG_POS
+        self.shape = shape
+        self.critical = shape is not None
+
+    @property
+    def pn(self) -> tuple[int, int]:
+        """(p, n) of the word fed so far, each capped at m."""
+        m = self.m
+        return min(self.raw_p, m), min(self.raw_n, m)
+
+
+class P2GSuffixScanner:
+    """Incremental P2G-criticality test for suffixes of a fixed word.
+
+    Letters are fed right to left; after each feed, critical tells
+    whether the word fed so far is P2G-critical.  Structural state tracks
+    the trailing block, confinement of the commuting generator z to the
+    outer blocks, and z-sign uniformity; a 2-generator scanner consumes
+    the hat subsequence.
+    """
+
+    __slots__ = ("x_idx", "z_idx", "inner", "dead", "critical", "prev",
+                 "in_tail", "tail_is_xz", "tail_z_sign", "run_z",
+                 "run_z_sign")
+
+    def __init__(self, pair: str, params: GroupParams):
+        self.x_idx, self.z_idx = _XZ[pair]
+        self.inner = CriticalSuffixScanner(pair, params)
+        self.dead = False
+        self.critical = False
+        self.prev = -1            # -1 until the first feed
+        self.in_tail = True
+        self.tail_is_xz = False
+        self.tail_z_sign = 0
+        self.run_z = 0            # z-letters in the current leading xz-run
+        self.run_z_sign = 0
+
+    def feed(self, l: Letter) -> None:
+        if self.dead:
+            return
+        self.critical = False
+        name = l % 3
+        z_idx = self.z_idx
+        if self.prev == (l + 3) % 6:
+            self.dead = True
+            return
+        if self.prev == -1:
+            if name == z_idx:
+                self.dead = True    # l(u) must be a pseudo-generator
+                return
+            self.tail_is_xz = name == self.x_idx
+        if self.in_tail and (name == 1) != self.tail_is_xz:
+            if name == z_idx:
+                sgn = 1 if l < 3 else -1
+                if self.tail_z_sign == 0:
+                    self.tail_z_sign = sgn
+                elif self.tail_z_sign != sgn:
+                    self.dead = True
+                    return
+        else:
+            self.in_tail = False
+            if name == 1:
+                if self.run_z:
+                    self.dead = True    # stranded z between two b-letters
+                    return
+                self.run_z_sign = 0
+            elif name == z_idx:
+                sgn = 1 if l < 3 else -1
+                if self.run_z and self.run_z_sign != sgn:
+                    self.dead = True
+                    return
+                self.run_z += 1
+                self.run_z_sign = sgn
+        if name != z_idx:           # else l(u) is no pseudo-generator
+            inner = self.inner
+            inner.feed(l)
+            if inner.dead:
+                self.dead = True
+                return
+            self.critical = inner.critical
+        self.prev = l
+
+
+def halving_rebase(states: dict, old: Word, word: Word) -> None:
+    """ChainMemo.rebase as it was, on a memo's states, for a push from old
+    to word: it found the first rewritten position by halving slice
+    compares.  The reference for the rebase that takes it from the push."""
+    if len(word) != len(old) + 1:
+        k = min(len(old), len(word))
+        if old[:k] != word[:k]:
+            # old[:lo] == word[:lo] and old[:k] != word[:k]: halve
+            lo = 0
+            while k - lo > 1:
+                mid = (lo + k) // 2
+                if old[lo:mid] == word[lo:mid]:
+                    lo = mid
+                else:
+                    k = mid
+            k = lo
+        for known in states.values():
+            del known[k + 1:]
 
 
 def relator_words(n: int) -> list[Word]:

@@ -130,18 +130,24 @@ class TestTauAbc:
         assert found > 30
 
 
+def _start(w, wit):
+    """The start of the suffix of w whose witness is wit, or None."""
+    return None if wit is None else len(w) - len(wit.word)
+
+
 class TestShortestSuffix:
     def test_examples(self, params5):
-        assert shortest_abc_critical_suffix(P("abcbcaba"), params5) == 1
-        assert shortest_abc_critical_suffix(P("bcbcaba"), params5) == 0
-        assert shortest_abc_critical_suffix(P("bca"), params5) is None
+        for word, start in (("abcbcaba", 1), ("bcbcaba", 0), ("bca", None)):
+            w = P(word)
+            assert _start(w, shortest_abc_critical_suffix(w, params5)) \
+                == start
 
     def test_matches_brute_force(self, params5, params6):
         rng = random.Random(31)
         for params in (params5, params6):
             for _ in range(1500):
                 w = random_reduced_word(rng, rng.randint(0, 13))
-                got = shortest_abc_critical_suffix(w, params)
+                got = _start(w, shortest_abc_critical_suffix(w, params))
                 want = None
                 for s in range(len(w) - 1, -1, -1):
                     if abc_witness_reference(w[s:], params):

@@ -183,12 +183,19 @@ class TestTauP2G:
         assert found > 100
 
 
+def _start(w, wit):
+    """The start of the suffix of w whose witness is wit, or None."""
+    return None if wit is None else len(w) - len(wit.word)
+
+
 class TestShortestSuffix:
     def test_examples(self, params5):
-        assert shortest_p2g_critical_suffix(P("bacbbbCA"), "ab",
-                                            params5) == 1
+        w = P("bacbbbCA")
+        wit = shortest_p2g_critical_suffix(w, "ab", params5)
+        assert _start(w, wit) == 1 and wit.word == w[1:]
         assert shortest_p2g_critical_suffix(P("ab"), "ab", params5) is None
-        assert shortest_p2g_critical_suffix(P("caba"), "ab", params5) == 1
+        w = P("caba")
+        assert _start(w, shortest_p2g_critical_suffix(w, "ab", params5)) == 1
 
     def test_matches_brute_force(self, params5, params6):
         rng = random.Random(13)
@@ -196,7 +203,8 @@ class TestShortestSuffix:
             for _ in range(1500):
                 w = random_reduced_word(rng, rng.randint(0, 12))
                 for pair in ("ab", "bc"):
-                    got = shortest_p2g_critical_suffix(w, pair, params)
+                    got = _start(w, shortest_p2g_critical_suffix(
+                        w, pair, params))
                     want = None
                     for s in range(len(w) - 1, -1, -1):
                         if p2g_critical_reference(w[s:], pair, params):
@@ -208,7 +216,7 @@ class TestShortestSuffix:
 class TestP2GSuffixScanner:
     def test_every_feed(self, params5, params6):
         """After every feed, the scanner answers for the suffix fed so
-        far as the P2G reference does, its hat scanner's pn is the capped
+        far as the P2G reference does, its pn is the capped
         reference profile of that suffix's hat, and once it is dead no
         longer suffix is critical."""
         rng = random.Random(71)
@@ -235,6 +243,6 @@ class TestP2GSuffixScanner:
                             hat = tuple(l for l in u if l % 3 != z)
                             if hat:
                                 pr = profile(hat, pair, params)
-                                assert scan.inner.pn == (pr.p, pr.n), \
+                                assert scan.pn == (pr.p, pr.n), \
                                     (F(w), s, pair)
         assert hits > 200

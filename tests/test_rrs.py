@@ -4,10 +4,11 @@ from collections import Counter
 
 import pytest
 
-from artinword.abc_critical import tau_abc
+from artinword import rrs
+from artinword.abc_critical import shortest_abc_critical_suffix, tau_abc
 from artinword.core import (GroupParams, ResourceLimitError, format_word,
                             inverse_letter, make_alternating, parse_word)
-from artinword.p2g import tau_p2g
+from artinword.p2g import shortest_p2g_critical_suffix, tau_p2g
 from artinword.rrs import (
     ABC,
     CRITICAL_TYPES,
@@ -21,11 +22,12 @@ from artinword.rrs import (
     check_rrs,
     find_optimal_rrs,
 )
-from artinword.reducer import push_letter
+from artinword.reducer import push_letter, reduce_to_geodesic
 from artinword.verify import enumerate_all_rrs, is_optimal
 
-from helpers import (distinguished_reference, random_raw_word,
-                     random_reduced_word)
+from helpers import (distinguished_reference, random_abc_flavoured,
+                     random_raw_word, random_reduced_word)
+from test_reducer import digest_corpus
 
 P = parse_word
 F = format_word
@@ -311,3 +313,71 @@ class TestChainRule:
                     w = apply_rrs(rrs, params)[0]
         assert all(links[n, t] >= 10 for n in range(5, 9)
                    for t in CRITICAL_TYPES), links
+
+
+def _check_suffix_witness(host, end, ctype, wit, params):
+    """wit, a suffix scan's answer on host[:end], is the witness of the
+    suffix it names, as the whole-word check gives it."""
+    assert wit.word == host[end - len(wit.word):end], (F(host), end, ctype)
+    assert wit == rrs.critical_witness(wit.word, ctype, params), \
+        (F(host), end, ctype)
+
+
+class TestSuffixWitnesses:
+    def test_digest_corpus(self, monkeypatch):
+        """Every witness the chain search's suffix scans return while the
+        digest corpus is reduced."""
+        direct_p2g = rrs.shortest_p2g_critical_suffix
+        direct_abc = rrs.shortest_abc_critical_suffix
+        seen = Counter()
+
+        def p2g_scan(host, pair, params, end=None, meter=None):
+            wit = direct_p2g(host, pair, params, end=end, meter=meter)
+            if wit is not None:
+                ctype = P2G_AB if pair == "ab" else P2G_BC
+                _check_suffix_witness(host, end, ctype, wit, params)
+                seen[ctype] += 1
+            return wit
+
+        def abc_scan(host, params, end=None, meter=None):
+            wit = direct_abc(host, params, end=end, meter=meter)
+            if wit is not None:
+                _check_suffix_witness(host, end, ABC, wit, params)
+                seen[ABC] += 1
+            return wit
+        monkeypatch.setattr(rrs, "shortest_p2g_critical_suffix", p2g_scan)
+        monkeypatch.setattr(rrs, "shortest_abc_critical_suffix", abc_scan)
+        for params, w in digest_corpus():
+            reduce_to_geodesic(w, params)
+        assert min(seen[t] for t in CRITICAL_TYPES) > 0, seen
+
+    @pytest.mark.parametrize("n", (5, 6, 8))
+    def test_seeded_hosts(self, n):
+        """At every end of seeded hosts: freely reduced words, positive
+        ones, and a one-signed {b,c}-alternation of about n letters
+        followed by a word shaped like an {a,b,c}-critical one."""
+        params = GroupParams(n)
+        rng = random.Random(4111 + n)
+        seen = Counter()
+        for _ in range(150):
+            b, c = rng.choice(((1, 2), (4, 5)))
+            x, y = rng.choice(((b, c), (c, b)))
+            abc_shaped = (make_alternating(x, y, rng.randint(n - 3, n), "end")
+                          + random_abc_flavoured(rng, params)
+                          [rng.randint(0, 4):])
+            for host in (random_reduced_word(rng, 30),
+                         random_reduced_word(rng, 30, (0, 1, 2)),
+                         abc_shaped):
+                for end in range(len(host) + 1):
+                    for ctype in CRITICAL_TYPES:
+                        if ctype == ABC:
+                            wit = shortest_abc_critical_suffix(
+                                host, params, end=end)
+                        else:
+                            wit = shortest_p2g_critical_suffix(
+                                host, rrs._PAIRS[ctype], params, end=end)
+                        if wit is not None:
+                            _check_suffix_witness(host, end, ctype, wit,
+                                                  params)
+                            seen[ctype] += 1
+        assert min(seen[t] for t in CRITICAL_TYPES) > 20, seen
