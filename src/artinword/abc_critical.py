@@ -19,9 +19,10 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .core import GroupParams, Word, power_word
-from .dihedral import BabForm, tau_2gen, tau_last_letter, to_bab_form
-# decompose_p2g and is_p2g_critical stay imported, though unused here,
-# because benchmark/tracing.py wraps them at these names
+from .dihedral import (BabForm, bab_of_runs, tau_2gen, tau_last_letter,
+                       to_bab_form)
+# to_bab_form, decompose_p2g and is_p2g_critical stay imported, though
+# unused here, because benchmark/tracing.py wraps them at these names
 from .p2g import (P2GSuffixScanner, P2GWitness, decompose_p2g,
                   is_p2g_critical, outer_blocks, p2g_witness)
 
@@ -55,65 +56,58 @@ class AbcWitness(NamedTuple):
         return self.word[self.r_start:]
 
 
-def _ur_candidates(w: Word, end: int, params: GroupParams, meter=None,
-                   ) -> list[tuple[int, P2GWitness, BabForm]]:
-    """Valid u_r suffixes of w[:end]: start positions with a name-a letter
-    whose suffix is a P2G {a,b} word with name-a ends, uniform c-signs and
-    a hat transformable to b^i a^j b^k.  Ordered shortest first.
+def _ur_candidates(w: Word, end: int, meter=None,
+                   ) -> list[tuple[int, int, int, BabForm]]:
+    """Valid u_r suffixes of w[:end], shortest first, as (r0, alpha,
+    beta, bab): u_r = w[r0:end] is a P2G {a,b} word with name-a ends, one
+    c-sign in each outer block and c-exponents alpha, beta, whose hat
+    bab_of_runs rewrites to b^i a^j b^k.
 
-    One P2GSuffixScanner("ab") is fed w[:end] right to left, one metered
-    letter per feed.  The walk stops at the first of two rules, each of
-    which rules out the current suffix and every longer one:
-
-    * the scanner dies.  A c stranded between two b-letters sits in u_q
-      of every longer suffix starting with name a, where decompose_p2g
-      rejects it.  Mixed c-signs in an outer block (cC among them) stay
-      in that block or end up stranded.  A cancelling pair of hat letters
-      stays in every longer hat, and so does a hat p + n above 3, while
-      every hat to_bab_form accepts is freely reduced with p + n = 3.
-    * the hat is one-signed with p + n = 3 and holds at least two
-      b-letters.  A one-signed hat that to_bab_form accepts has 3 runs,
-      so exactly one b, and a hat letter of the other sign would push
-      p + n to at least 4.
-
-    A live scanner also means the decomposition exists with one-signed
-    outer c-blocks, so each start whose hat has p + n = 3 takes its
-    outer blocks as they are and goes on to to_bab_form.
+    One walk reads w[:end] right to left, one metered letter each, and
+    keeps the signed exponents of the hat's name runs; each name-a letter
+    of the 3rd or 5th run starts a candidate.  It stops at the first
+    letter that rules out every longer suffix: a 6th run, a b-letter
+    closing a non-trailing {a,c} block that holds a c-letter (inner, or
+    stranded between b-letters), a letter against its run's sign (a
+    cancelling pair in the hat) or a c-letter against its block's.
     """
-    out: list[tuple[int, P2GWitness, BabForm]] = []
+    out: list[tuple[int, int, int, BabForm]] = []
     if end == 0 or w[end - 1] % 3 != _A_LETTER:
         return out
-    scan = P2GSuffixScanner("ab", params)
-    b_count = 0
+    runs: list[int] = []  # left to right: runs[0] is the one being read
+    beta = z = 0          # c-exponents of the closed blocks, the open one
     for r0 in range(end - 1, -1, -1):
         l = w[r0]
-        scan.feed(l)
-        if meter:
-            meter.add(1)
-        if scan.dead:
-            break
-        name = l % 3
+        name, sign = l % 3, (1 if l < 3 else -1)
         if name == _C_LETTER:
+            if z * sign < 0:
+                break
+            z += sign
             continue
         if name == _B_LETTER:
-            b_count += 1
-        p, n = scan.pn
-        if p + n != 3:
-            continue
-        if b_count > 1 and scan.neg_count in (0, scan.count):
+            if z and len(runs) > 1:
+                break
+            beta, z = beta + z, 0
+        # the runs alternate a, b, a, ... from the right end
+        if (len(runs) % 2 == 1) != (name == _A_LETTER):
+            if len(runs) == 5:
+                break
+            runs.insert(0, 0)
+        if runs[0] * sign < 0:
             break
-        if name == _A_LETTER:
-            u = w[r0:end]
-            d = P2GWitness(u, "ab", *outer_blocks(u, "ab"))
-            bab = to_bab_form(d.hat, params)
+        runs[0] += sign
+        if len(runs) in (3, 5):  # w[r0] is a name-a letter
+            bab = bab_of_runs(runs)
             if bab is not None:
-                out.append((r0, d, bab))
+                out.append((r0, z, beta, bab))
+    if meter:
+        meter.add(end - r0)
     return out
 
 
-def _sharp_tail(d: P2GWitness, bab: BabForm) -> Word:
-    """c^alpha(u_r) b^i, the letters appended to u_p u_q to form u_sharp."""
-    return power_word(_C_LETTER, d.alpha) + power_word(_B_LETTER, bab.i)
+def _sharp_tail(alpha: int, i: int) -> Word:
+    """c^alpha b^i: the letters appended to u_p u_q to form u_sharp."""
+    return power_word(_C_LETTER, alpha) + power_word(_B_LETTER, i)
 
 
 def _critical_suffixes(w: Word, end: int, params: GroupParams, meter=None):
@@ -121,7 +115,7 @@ def _critical_suffixes(w: Word, end: int, params: GroupParams, meter=None):
     which w[s:end] is critical of type {a,b,c}; within one s, candidates
     come shortest first.
 
-    candidate is an (r0, u_r witness, bab) entry of _ur_candidates; scan,
+    candidate is an (r0, alpha, beta, bab) entry of _ur_candidates; scan,
     its {b,c} P2GSuffixScanner, has been fed u_sharp = w[s:r0] c^alpha b^i
     right to left and found it critical, one metered feed per letter of
     w[s:r0].  u_p = w[s:p_end] is the b-run at s, or the non-b run when
@@ -132,9 +126,9 @@ def _critical_suffixes(w: Word, end: int, params: GroupParams, meter=None):
     leaves u_sharp a hat c^x b^i, which no m >= 3 makes critical.
     """
     live = []
-    for cand in _ur_candidates(w, end, params, meter):
+    for cand in _ur_candidates(w, end, meter):
         scan = P2GSuffixScanner("bc", params)
-        for l in reversed(_sharp_tail(cand[1], cand[2])):
+        for l in reversed(_sharp_tail(cand[1], cand[3].i)):
             scan.feed(l)
         live.append((cand, scan))
     next_a = next_b = next_nonb = a_gate = end
@@ -161,17 +155,19 @@ def _critical_suffixes(w: Word, end: int, params: GroupParams, meter=None):
 
 
 def _witness(w: Word, s: int, end: int, p_end: int,
-             cand: tuple[int, P2GWitness, BabForm],
+             cand: tuple[int, int, int, BabForm],
              scan: P2GSuffixScanner) -> AbcWitness:
     """The witness of w[s:end], from what _critical_suffixes yielded for
     it, while scan still holds its state at s."""
-    r0, d, bab = cand
-    u_sharp = w[s:r0] + _sharp_tail(d, bab)
+    r0, alpha, beta, bab = cand
+    u_r = w[r0:end]
+    d = P2GWitness(u_r, "ab", *outer_blocks(u_r, "ab"))
+    u_sharp = w[s:r0] + _sharp_tail(alpha, bab.i)
     sw = p2g_witness(scan.state, u_sharp, "bc")
     # hat(u_sharp) ends in b, so tau of it ends in a name-c letter
     eps = 1 if tau_last_letter(sw.hat_witness) < 3 else -1
     return AbcWitness(w[s:end], p_end - s, r0 - s, d, bab, u_sharp, sw, eps,
-                      sw.alpha, d.beta)
+                      sw.alpha, beta)
 
 
 def is_abc_critical(w: Word, params: GroupParams) -> Optional[AbcWitness]:

@@ -4,9 +4,9 @@ Covers the scan kernel scan_letters, which alone computes alternation
 runs and decides criticality, 2-generator and P2G alike, and its
 one-letter-per-feed wrapper CriticalSuffixScanner; the geodesic
 criterion and critical-word check it gives on whole words, tau
-rewriting, the shortest-critical-suffix scan, and to_bab_form, which
+rewriting, the shortest-critical-suffix scan, and bab_of_runs, which
 reads the b^i a^j b^k form that tau-moves give an {a,b}-word off its name
-runs: only 3- and 5-run words have one.
+runs (only 3- and 5-run words have one), and to_bab_form on a word.
 
 A word over a pair {x, y} with relation length m is *critical* when
 p + n = m (p and n are the longest positive / negative alternating
@@ -196,11 +196,25 @@ class BabForm(NamedTuple):
 
 
 def to_bab_form(v: Word, params: GroupParams) -> Optional[BabForm]:
-    """(i, j, k) when tau-moves rewrite the {a,b}-word v, whose first and
-    last letters have name a, into b^i a^j b^k, else None.
+    """bab_of_runs of the name runs of the {a,b}-word v, whose first and
+    last letters have name a; None when v has a cancelling pair.  params
+    is unused: m(a, b) is 3 in every G(n)."""
+    for l in v:
+        if l % 3 == 2:
+            raise ValueError("to_bab_form expects an {a,b}-word")
+    if not v or v[0] % 3 != 0 or v[-1] % 3 != 0:
+        raise ValueError("first and last letters must have name a")
+    if not is_freely_reduced(v):
+        return None
+    # in a freely reduced word, the runs of equal letters are the name runs
+    return bab_of_runs([(1 if l < 3 else -1) * len(tuple(g))
+                        for l, g in groupby(v)])
 
-    Read off v's name runs a^e1 b^e2 a^e3 [b^e4 a^e5] (nonzero signed
-    exponents); a cancelling pair, or any other number of runs, gives None:
+
+def bab_of_runs(runs: list[int]) -> Optional[BabForm]:
+    """(i, j, k) when tau-moves rewrite the {a,b}-word whose name runs
+    a^e1 b^e2 a^e3 [b^e4 a^e5] have the nonzero signed exponents runs,
+    left to right, into b^i a^j b^k; any other number of runs gives None:
 
     * 3 runs, with |e2| = 1 and e2 in {e1, e3}, or |e1| = 1 and
       e3 = -e1: (e3, e2, e1);
@@ -214,18 +228,8 @@ def to_bab_form(v: Word, params: GroupParams) -> Optional[BabForm]:
     first stage fixes the result's outer letters (B..ab or BA..b, or
     their letterwise inverses), and a second stage would emit a name-a
     letter inside one of the result's outer runs; what one stage can
-    finish are the 3- and 5-run shapes above.  params is unused: m(a, b)
-    is 3 in every G(n).
+    finish are the 3- and 5-run shapes above.
     """
-    for l in v:
-        if l % 3 == 2:
-            raise ValueError("to_bab_form expects an {a,b}-word")
-    if not v or v[0] % 3 != 0 or v[-1] % 3 != 0:
-        raise ValueError("first and last letters must have name a")
-    if not is_freely_reduced(v):
-        return None
-    # in a freely reduced word, the runs of equal letters are the name runs
-    runs = [(1 if l < 3 else -1) * len(tuple(g)) for l, g in groupby(v)]
     if len(runs) == 3:
         e1, e2, e3 = runs
         if (abs(e2) == 1 and e2 in (e1, e3)) or (abs(e1) == 1 and e3 == -e1):

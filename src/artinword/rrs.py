@@ -379,12 +379,12 @@ class ChainMemo:
             known.extend([None] * (e + 1 - len(known)))
         known[e] = found
 
-    def walk(self, host: Word, e: int, ctype: str, params: GroupParams,
+    def walk(self, e: int, ctype: str, params: GroupParams,
              meter: Optional[Meter]):
-        """The slot of (e, ctype) on host = word x.  Chain steps are
-        taken from it until a state whose slot is known, or a terminal;
-        the slots of the states passed are then filled in from the left,
-        deriving and checking each one's link on the way."""
+        """The slot of (e, ctype) on word.  Chain steps are taken from it
+        until a state whose slot is known, or a terminal; the slots of the
+        states passed are then filled in from the left, deriving and
+        checking each one's link on the way."""
         passed = []
         scanned = False
         while True:
@@ -392,7 +392,7 @@ class ChainMemo:
             if found is not None:
                 break
             found, e_next, type_next, scanned = _chain_step(
-                host, e, ctype, params, meter, self, scanned)
+                self.word, e, ctype, params, meter, self, scanned)
             if found is not None:
                 self.put(e, ctype, found)
                 break
@@ -400,7 +400,7 @@ class ChainMemo:
             e, ctype = e_next, type_next
         for e, ctype in reversed(passed):
             if found is not _BAD:
-                found = _grow(host, found, e, ctype, params)
+                found = _grow(self.word, found, e, ctype, params)
             self.put(e, ctype, found)
         return found
 
@@ -450,7 +450,7 @@ def find_optimal_rrs(w: Word, x: int, params: GroupParams,
                      meter: Optional[Meter] = None) -> Optional[Rrs]:
     """Search w x for its optimal RRS (w must be in W).
 
-    Step 1, then the right-to-left chain walk of _chain_step, then the
+    Step 1 (the m = 0 RRSs), then the chain walk of _chain_step, then the
     checking pass, which verifies every u_i's criticality.  It returns
     None when w x is in W, but not only then: at n=5 it returns None on
     the last pushes of bcbccaBcbaBCbA, BcbcAbCBabcba and CBACBcabcbaBCBc
@@ -458,9 +458,9 @@ def find_optimal_rrs(w: Word, x: int, params: GroupParams,
 
     The chain walk goes through a ChainMemo, which derives and verifies
     each link u_i as it fills in the slot of the state where u_i ends.
-    A state's slot reads host[:e] = w[:e] only, so inside a chain_memo
-    block (one reduction) the slots an earlier push filled on the same
-    prefix are reused: the search looks up the slot of its first state,
+    A state's slot reads w[:e] only, so inside a chain_memo block (one
+    reduction) the slots an earlier push filled on the same prefix are
+    reused: the search looks up the slot of its first state,
     taking chain steps only until a state whose slot is known.  A chain
     with a link that is not critical ends the search with None at once;
     otherwise check_rrs gets the verified links and checks only the cuts
@@ -470,7 +470,6 @@ def find_optimal_rrs(w: Word, x: int, params: GroupParams,
     memo.
     """
     L = len(w)
-    host = w + (x,)
     inv_x = inverse_letter(x)
 
     # Step 1: longest suffix of w commuting with x and free of x^-1
@@ -482,22 +481,22 @@ def find_optimal_rrs(w: Word, x: int, params: GroupParams,
     if j == 0:
         return None
     if w[j - 1] == inv_x:
-        if j == L:
-            # w ends in x^-1: the free cancellation, which needs no check
-            return Rrs(host, (j - 1, j), (), ((None, (inv_x,), None),))
-        # m = 0; keep w_{m+1} clear of f(gamma) by cutting at the first x
+        # m = 0, cut at e, the first x right of j or L (j = L: the free
+        # cancellation); it holds by construction, with no check needed,
+        # as w[j:L] commutes with x and host[e] = x
         e = j
         while e < L and w[e] != x:
             e += 1
-        return check_rrs(host, (j - 1, e), (), params)
+        host = w + (x,)
+        return Rrs(host, (j - 1, e), (), ((None, host[j - 1:e], None),))
     # w[j-1] does not commute with x: their names are {a,b} or {b,c}
     type_i = P2G_BC if 2 in (x % 3, w[j - 1] % 3) else P2G_AB
 
     memo = getattr(_active, "memo", None)
     if memo is None or memo.word is not w:
         memo = ChainMemo(w)
-    found = memo.walk(host, j, type_i, params, meter)
+    found = memo.walk(j, type_i, params, meter)
     if found is _BAD:
         return None
     cuts, types, links = found
-    return check_rrs(host, cuts + (L,), types, params, links)
+    return check_rrs(w + (x,), cuts + (L,), types, params, links)

@@ -559,7 +559,7 @@ def _witness_at(w: Word, r0: int, d, bab, params: GroupParams):
     p_end = _split_before(w, r0)
     if p_end is None:
         return None
-    u_sharp = w[:r0] + _sharp_tail(d, bab)
+    u_sharp = w[:r0] + _sharp_tail(d.alpha, bab.i)
     sw = p2g_witness_reference(u_sharp, "bc", params)
     if sw is None:
         return None

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from artinword import abc_critical
 from artinword.abc_critical import (
     _ur_candidates,
     is_abc_critical,
@@ -169,18 +170,37 @@ class TestUrCandidates:
                 for _ in range(80):
                     w = random_reduced_word(rng, rng.randint(1, 40), letters)
                     for end in range(len(w) + 1):
-                        assert (_ur_candidates(w, end, params)
-                                == ur_candidates_reference(w, end, params)), \
-                            (F(w), end, n)
+                        want = [(r0, d.alpha, d.beta, bab) for r0, d, bab
+                                in ur_candidates_reference(w, end, params)]
+                        assert _ur_candidates(w, end) == want, (F(w), end, n)
 
-    def test_walk_does_not_span_the_host(self, params5):
-        letters = []
-        for k in (50, 400):
-            host = P("acb") * k + P("a")
-            meter = Meter()
-            _ur_candidates(host, len(host), params5, meter)
-            letters.append(meter.letters)
-        assert letters[0] == letters[1]
+    def test_walk_does_not_span_the_host(self):
+        # a c stranded between b-letters stops the first, a 6th run the
+        # second
+        for unit in ("acb", "ab"):
+            letters = []
+            for k in (50, 400):
+                host = P(unit) * k + P("a")
+                meter = Meter()
+                _ur_candidates(host, len(host), meter)
+                letters.append(meter.letters)
+            assert letters[0] == letters[1], unit
+
+    @pytest.mark.parametrize("k", [200, 1600])
+    def test_one_pass_per_host(self, k, monkeypatch):
+        """On bc (ac)^k aba every start in (ac)^k aba is a candidate: the
+        walk reads each letter once, up to the leading b, which closes a
+        block of c-letters, and splits no u_r and reads no hat again."""
+        calls = []
+        for name in ("outer_blocks", "to_bab_form"):
+            monkeypatch.setattr(abc_critical, name,
+                                lambda *args, name=name: calls.append(name))
+        host = P("bc") + P("ac") * k + P("aba")
+        meter = Meter()
+        found = _ur_candidates(host, len(host), meter)
+        assert meter.letters == 2 * k + 5
+        assert [c[0] for c in found] == list(range(len(host) - 3, 1, -2))
+        assert calls == []
 
     def test_acb_power_is_geodesic(self, params5):
         w = P("acb") * 130

@@ -18,7 +18,8 @@ from artinword.reducer import (
     push_letter,
     reduce_to_geodesic,
 )
-from artinword.rrs import Meter, apply_rrs, chain_memo, find_optimal_rrs
+from artinword.rrs import (Meter, apply_rrs, chain_memo, check_rrs,
+                           find_optimal_rrs)
 from artinword.verify import enumerate_all_rrs, is_optimal
 
 from helpers import (halving_rebase, random_raw_word, random_reduced_word,
@@ -131,8 +132,12 @@ CORPUS_DIGEST = (
 # change to what the search meters must update it and say why.  It was
 # (921_008, 7_874) until a chain step stopped scanning the {a,b} suffix
 # at a cut where the {a,b} probe of the step before it had just found
-# none; those repeated scans were the 75,674 letters it lost.
-CORPUS_METER = (845_334, 7_874)
+# none; those repeated scans were the 75,674 letters it lost.  It was
+# (845_334, 7_874) until the u_r walk of abc_critical read the hat's name
+# runs instead of a P2G {a,b} scan: the walk reads on through up to five
+# runs, where the scan stopped once p + n passed 3, and sooner on hats
+# of alternating signs, whose p + n stays 2; 5,877 letters more in all.
+CORPUS_METER = (851_211, 7_874)
 
 
 def digest_corpus():
@@ -173,6 +178,24 @@ class TestIdenticalOutputs:
                 letters += meter.letters
                 pushes += 1
         assert (letters, pushes) == CORPUS_METER
+
+    def test_m0_rrs_pass_the_check(self):
+        """find_optimal_rrs builds each m = 0 RRS without the checking
+        pass; the pass returns every one of them as it is."""
+        free = longer = 0
+        for params, w in digest_corpus():
+            cur = ()
+            for x in w:
+                found = find_optimal_rrs(cur, x, params)
+                if found is not None and found.m == 0:
+                    assert check_rrs(found.host, found.cuts, (),
+                                     params) == found, (params.n, F(cur), x)
+                    if found.cuts == (len(cur) - 1, len(cur)):
+                        free += 1
+                    else:
+                        longer += 1
+                cur, _ = push_letter(cur, x, params)
+        assert free > 100 and longer > 100
 
 
 class TestMemoScope:
